@@ -30,15 +30,18 @@ constexpr int kSteps = 40000;
 aft::hw::Machine platform() {
   aft::hw::Machine m("kb-says-f1");
   for (int i = 0; i < 3; ++i) {
+    // Prefix a named index, not a temporary: GCC 12 -Wrestrict misfires on
+    // the inlined `"S" + std::string&&` insert at -O3.
+    const std::string index = std::to_string(i);
     m.add_bank(aft::hw::SpdRecord{.vendor = "CE00000000000000",
                                   .model = "DDR-533-1G",
-                                  .serial = "S" + std::to_string(i),
+                                  .serial = "S" + index,
                                   .lot = "L-opt",
                                   .size_mib = 1024,
                                   .width_bits = 64,
                                   .clock_mhz = 533,
                                   .technology = aft::hw::MemoryTechnology::kDdrSdram,
-                                  .slot = "B" + std::to_string(i)},
+                                  .slot = "B" + index},
                128);
   }
   return m;

@@ -71,7 +71,8 @@ int main(int argc, char** argv) {
   table.row({"degrees used", "{3,5,7,9}", [&] {
                std::string s = "{";
                for (const auto& [d, c] : result.redundancy.bins()) {
-                 s += (s.size() > 1 ? "," : "") + std::to_string(d);
+                 if (s.size() > 1) s += ',';
+                 s += std::to_string(d);
                }
                return s + "}";
              }()});

@@ -127,6 +127,10 @@ int main() {
   // ----------------------------------------------------------- telemetry ----
   aft::util::Xoshiro256 env_rng(2026);
   double radiation = 0.0;
+  // A named Options, not a designated-initializer temporary: GCC 12 reports
+  // -Wmaybe-uninitialized on the temporary's defaulted string members.
+  aft::autonomic::AutonomicReplicationService::Options options;
+  options.policy.lower_after = 300;
   aft::autonomic::AutonomicReplicationService telemetry(
       [&](aft::vote::Ballot in, std::size_t replica) -> aft::vote::Ballot {
         if (radiation > 0 && env_rng.bernoulli(radiation)) {
@@ -134,9 +138,7 @@ int main() {
         }
         return in * 2;
       },
-      aft::autonomic::AutonomicReplicationService::Options{
-          .policy = {.lower_after = 300}},
-      &ctx);
+      options, &ctx);
 
   // ------------------------------------------------------------ gestalt ----
   aft::core::GestaltBus bus;

@@ -129,32 +129,15 @@ std::size_t EventBus::publish(TopicId topic, const Message& message) {
   // including forwarding it over a net::Link to another node's bus — chains
   // back to this publish (and through it to the detector/injection that
   // provoked it).  `aft_trace why` on a remote delivery lands here.
-#if !defined(AFT_OBS_DISABLED)
-  obs::TraceSink* const sink = obs::trace();
-  obs::EventId prev_cause = obs::kNoEvent;
-  bool cause_installed = false;
-  if (sink != nullptr) {
-    const obs::EventId ev = sink->emit(
-        "arch.bus", "publish",
-        {{"topic", message.topic},
-         {"source", message.source},
-         {"subscribers", (bucket != nullptr ? bucket->live : 0) +
-                             wildcard_.live}});
-    if (ev != obs::kNoEvent) {
-      prev_cause = sink->cause();
-      sink->set_cause(ev);
-      cause_installed = true;
-    }
-  } else {
-    obs::flight_note("arch.bus", "publish");
-  }
-#endif
+  const obs::CauseScope cause(
+      "arch.bus", "publish",
+      {{"topic", message.topic},
+       {"source", message.source},
+       {"subscribers",
+        (bucket != nullptr ? bucket->live : 0) + wildcard_.live}});
   std::size_t delivered = 0;
   if (bucket != nullptr) delivered += deliver(*bucket, message);
   delivered += deliver(wildcard_, message);
-#if !defined(AFT_OBS_DISABLED)
-  if (cause_installed) sink->set_cause(prev_cause);
-#endif
   AFT_METRIC_ADD("bus.published", 1);
   AFT_METRIC_ADD("bus.delivered", delivered);
   return delivered;
@@ -170,36 +153,19 @@ std::size_t EventBus::publish_batch(TopicId topic,
   // One trace record covers the whole batch and serves as the cause for
   // every delivery it triggers — the amortization that makes full-detail
   // tracing affordable on the mesh hot path.
-#if !defined(AFT_OBS_DISABLED)
-  obs::TraceSink* const sink = obs::trace();
-  obs::EventId prev_cause = obs::kNoEvent;
-  bool cause_installed = false;
-  if (sink != nullptr) {
-    const obs::EventId ev = sink->emit(
-        "arch.bus", "publish-batch",
-        {{"topic", topic != kNoTopic && topic < topics_.size()
-                       ? std::string_view(topics_.name(topic))
-                       : std::string_view(batch.front().topic)},
-         {"count", batch.size()},
-         {"subscribers", (bucket != nullptr ? bucket->live : 0) +
-                             wildcard_.live}});
-    if (ev != obs::kNoEvent) {
-      prev_cause = sink->cause();
-      sink->set_cause(ev);
-      cause_installed = true;
-    }
-  } else {
-    obs::flight_note("arch.bus", "publish-batch");
-  }
-#endif
+  const obs::CauseScope cause(
+      "arch.bus", "publish-batch",
+      {{"topic", topic != kNoTopic && topic < topics_.size()
+                     ? std::string_view(topics_.name(topic))
+                     : std::string_view(batch.front().topic)},
+       {"count", batch.size()},
+       {"subscribers",
+        (bucket != nullptr ? bucket->live : 0) + wildcard_.live}});
   std::size_t delivered = 0;
   for (const Message& message : batch) {
     if (bucket != nullptr) delivered += deliver(*bucket, message);
     delivered += deliver(wildcard_, message);
   }
-#if !defined(AFT_OBS_DISABLED)
-  if (cause_installed) sink->set_cause(prev_cause);
-#endif
   AFT_METRIC_ADD("bus.published", batch.size());
   AFT_METRIC_ADD("bus.delivered", delivered);
   return delivered;

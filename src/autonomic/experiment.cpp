@@ -15,7 +15,7 @@ ExperimentResult run_adaptation_experiment(
 
   // Hoisted once: the experiment loop runs tens of millions of iterations,
   // so even the TLS load inside the AFT_* macros is too much per step.
-  [[maybe_unused]] obs::TraceSink* const sink = obs::trace();
+  obs::TraceSink* const sink = obs::trace();
 
   // The replicated method: the correct output is input + 1; a disturbed
   // replica returns a replica-specific wrong value (distinct wrong values,
@@ -31,7 +31,6 @@ ExperimentResult run_adaptation_experiment(
       [&](vote::Ballot input, std::size_t replica) -> vote::Ballot {
         if (corruption_prob > 0.0 && rng.bernoulli(corruption_prob)) {
           ++faults_injected;
-#if !defined(AFT_OBS_DISABLED)
           if (sink != nullptr) {
             const obs::EventId id =
                 sink->emit("hw.inject", "corrupt",
@@ -42,7 +41,6 @@ ExperimentResult run_adaptation_experiment(
             fr->record(step, "hw.inject", "corrupt", obs::kNoEvent,
                        obs::kNoEvent);
           }
-#endif
           return input + 2 + static_cast<vote::Ballot>(replica);
         }
         return input + 1;
@@ -53,7 +51,6 @@ ExperimentResult run_adaptation_experiment(
   ExperimentResult result;
   for (const DisturbancePhase& phase : script) {
     corruption_prob = phase.corruption_prob;
-#if !defined(AFT_OBS_DISABLED)
     std::optional<obs::SpanGuard> phase_span;
     if (sink != nullptr) {
       sink->set_time(step);
@@ -63,20 +60,16 @@ ExperimentResult run_adaptation_experiment(
                  {{"duration", phase.duration},
                   {"corruption_prob", phase.corruption_prob}});
     }
-#endif
     for (std::uint64_t i = 0; i < phase.duration; ++i, ++step) {
       const std::uint64_t faults_before = faults_injected;
-#if !defined(AFT_OBS_DISABLED)
       if (sink != nullptr) {
         sink->set_time(step);
         // Every round starts a fresh causal turn; without the reset a
         // quiet round would inherit the previous round's chain.
         sink->set_cause(obs::kNoEvent);
       }
-#endif
       const vote::RoundReport report =
           farm.invoke(static_cast<vote::Ballot>(step));
-#if !defined(AFT_OBS_DISABLED)
       if (sink != nullptr && report.dissent > 0) {
         // Dissent is the detector-side symptom the injected corruption
         // produced; the event inherits the injection as its cause and in
@@ -89,15 +82,12 @@ ExperimentResult run_adaptation_experiment(
                         {"replicas", report.n}});
         if (id != obs::kNoEvent) sink->set_cause(id);
       }
-#endif
       if (!report.success) {
         ++result.voting_failures;
-#if !defined(AFT_OBS_DISABLED)
         if (sink != nullptr) {
           sink->emit("autonomic.experiment", "voting-failure",
                      {{"step", step}, {"replicas", farm.replicas()}});
         }
-#endif
       }
       board.observe(report);
       if (config.record_series && step % config.series_sample_every == 0) {
@@ -116,7 +106,6 @@ ExperimentResult run_adaptation_experiment(
   result.raises = board.raises();
   result.lowers = board.lowers();
   result.redundancy = board.redundancy_histogram();
-#if !defined(AFT_OBS_DISABLED)
   if (obs::MetricsRegistry* reg = obs::metrics(); reg != nullptr) {
     reg->add("experiment.steps", result.steps);
     reg->add("experiment.faults_injected", result.faults_injected);
@@ -124,7 +113,6 @@ ExperimentResult run_adaptation_experiment(
     reg->set_gauge("experiment.final_replicas",
                    static_cast<double>(farm.replicas()));
   }
-#endif
   return result;
 }
 

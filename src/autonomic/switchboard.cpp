@@ -66,8 +66,7 @@ void ReflectiveSwitchboard::on_slo_breach() {
   }
 }
 
-void ReflectiveSwitchboard::notify_disturbance(
-    [[maybe_unused]] const char* origin) {
+void ReflectiveSwitchboard::notify_disturbance(const char* origin) {
   // Same treatment as an SLO breach: an externally observed disturbance
   // (membership eviction, failed probe) restarts the high-streak and grows
   // immediately when there is headroom.
@@ -75,22 +74,8 @@ void ReflectiveSwitchboard::notify_disturbance(
   AFT_METRIC_ADD("autonomic.disturbances", 1);
   // The disturbance record becomes the cause of the resize it provokes, so
   // the raise chains back through it to whatever evicted/reported.
-#if !defined(AFT_OBS_DISABLED)
-  obs::TraceSink* const sink = obs::trace();
-  obs::EventId prev_cause = obs::kNoEvent;
-  bool cause_installed = false;
-  if (sink != nullptr) {
-    const obs::EventId ev = sink->emit("autonomic.switchboard", "disturbance",
-                                       {{"origin", origin}});
-    if (ev != obs::kNoEvent) {
-      prev_cause = sink->cause();
-      sink->set_cause(ev);
-      cause_installed = true;
-    }
-  } else {
-    obs::flight_note("autonomic.switchboard", "disturbance");
-  }
-#endif
+  const obs::CauseScope cause("autonomic.switchboard", "disturbance",
+                              {{"origin", origin}});
   const std::size_t n = farm_.replicas();
   if (n < policy_.max_replicas) {
     ++disturbance_raises_;
@@ -98,9 +83,6 @@ void ReflectiveSwitchboard::notify_disturbance(
     request_resize(std::min(n + policy_.step, policy_.max_replicas),
                    /*raised=*/true);
   }
-#if !defined(AFT_OBS_DISABLED)
-  if (cause_installed) sink->set_cause(prev_cause);
-#endif
 }
 
 void ReflectiveSwitchboard::observe(const vote::RoundReport& report) {

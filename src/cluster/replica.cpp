@@ -177,46 +177,30 @@ void ReplicatedService::enqueue(vote::Ballot input, Done done) {
   Pending pending;
   pending.input = input;
   pending.done = std::move(done);
-#if !defined(AFT_OBS_DISABLED)
-  if (obs::TraceSink* const sink = obs::trace()) pending.cause = sink->cause();
-#endif
+  pending.cause = obs::current_cause();
   queue_.push_back(std::move(pending));
   if (queue_.size() > counters_.queue_peak) {
     counters_.queue_peak = queue_.size();
   }
-#if !defined(AFT_OBS_DISABLED)
   if (obs::MetricsRegistry* const reg = obs::metrics()) {
     reg->set_gauge("cluster.admission.queue_depth",
                    static_cast<double>(queue_.size()));
   }
-#endif
 }
 
-void ReplicatedService::shed(Done done,
-                             [[maybe_unused]] obs::EventId cause) {
+void ReplicatedService::shed(Done done, obs::EventId cause) {
   ++counters_.shed;
   AFT_METRIC_ADD("cluster.admission.shed", 1);
   // The shed record chains to the invoke it refuses: the ambient cause for
   // a synchronous shed (the caller's context), or the evicted invoke's
   // snapshotted cause for reject-oldest.
-#if !defined(AFT_OBS_DISABLED)
-  obs::TraceSink* const sink = obs::trace();
-  obs::EventId prev_cause = obs::kNoEvent;
-  bool cause_installed = false;
-  if (sink != nullptr && cause != obs::kNoEvent) {
-    prev_cause = sink->cause();
-    sink->set_cause(cause);
-    cause_installed = true;
-  }
-#endif
+  const obs::CauseScope scope(cause != obs::kNoEvent ? cause
+                                                     : obs::current_cause());
   AFT_TRACE("cluster.admission", "shed",
             {{"queue", queue_.size()},
              {"limit", params_.admission.queue_limit},
              {"policy", to_string(params_.admission.policy)}});
   if (done) done(InvokeOutcome::kShed, kShedReport);
-#if !defined(AFT_OBS_DISABLED)
-  if (cause_installed) sink->set_cause(prev_cause);
-#endif
 }
 
 void ReplicatedService::begin_round(vote::Ballot input, Done done) {
@@ -250,48 +234,32 @@ void ReplicatedService::begin_round(vote::Ballot input, Done done) {
 
   // The round record is the chain origin of the whole fan-out: every
   // per-replica net.rpc/call (and its wire hops) walks back to it.
-#if !defined(AFT_OBS_DISABLED)
-  obs::TraceSink* const sink = obs::trace();
-  obs::EventId prev_cause = obs::kNoEvent;
-  bool cause_installed = false;
-  if (sink != nullptr) {
-    const obs::EventId ev =
-        sink->emit("cluster.coordinator", "round",
-                   {{"round", r.id},
-                    {"arity", r.n},
-                    {"live", r.assignment.size()}});
-    if (ev != obs::kNoEvent) {
-      prev_cause = sink->cause();
-      sink->set_cause(ev);
-      cause_installed = true;
+  {
+    const obs::CauseScope cause("cluster.coordinator", "round",
+                                {{"round", r.id},
+                                 {"arity", r.n},
+                                 {"live", r.assignment.size()}});
+    const std::string payload = std::to_string(input);
+    for (std::size_t slot = 0; slot < r.assignment.size(); ++slot) {
+      const std::size_t node = r.assignment[slot];
+      net::CallOptions options = params_.call;
+      options.breaker = nodes_[node]->breaker.has_value()
+                            ? &*nodes_[node]->breaker
+                            : nullptr;
+      // Pack (round, slot, node) into one word so the capture fits
+      // std::function's 16-byte inline buffer: the fan-out is the traffic
+      // plane's per-request hot path and must not allocate per call.
+      // 40/12/12 bits bound nothing real (pools are tens, not thousands).
+      const std::uint64_t tag = (r.id << 24) |
+                                (static_cast<std::uint64_t>(slot) << 12) |
+                                static_cast<std::uint64_t>(node);
+      nodes_[node]->coord.call(
+          "compute", payload, options,
+          [this, tag](const net::RpcResult& result) {
+            on_reply(tag >> 24, (tag >> 12) & 0xFFF, tag & 0xFFF, result);
+          });
     }
-  } else {
-    obs::flight_note("cluster.coordinator", "round");
-  }
-#endif
-  const std::string payload = std::to_string(input);
-  for (std::size_t slot = 0; slot < r.assignment.size(); ++slot) {
-    const std::size_t node = r.assignment[slot];
-    net::CallOptions options = params_.call;
-    options.breaker = nodes_[node]->breaker.has_value()
-                          ? &*nodes_[node]->breaker
-                          : nullptr;
-    // Pack (round, slot, node) into one word so the capture fits
-    // std::function's 16-byte inline buffer: the fan-out is the traffic
-    // plane's per-request hot path and must not allocate per call.
-    // 40/12/12 bits bound nothing real (pools are tens, not thousands).
-    const std::uint64_t tag = (r.id << 24) |
-                              (static_cast<std::uint64_t>(slot) << 12) |
-                              static_cast<std::uint64_t>(node);
-    nodes_[node]->coord.call(
-        "compute", payload, options,
-        [this, tag](const net::RpcResult& result) {
-          on_reply(tag >> 24, (tag >> 12) & 0xFFF, tag & 0xFFF, result);
-        });
-  }
-#if !defined(AFT_OBS_DISABLED)
-  if (cause_installed) sink->set_cause(prev_cause);
-#endif
+  }  // the round record stops being the cause before finalize_round runs
   round_.dispatching = false;
   if (round_.pending == 0) finalize_round();
 }
@@ -367,7 +335,6 @@ void ReplicatedService::finalize_round() {
   if (!round_in_flight_ && !queue_.empty()) {
     Pending next = std::move(queue_.front());
     queue_.pop_front();
-#if !defined(AFT_OBS_DISABLED)
     if (obs::MetricsRegistry* const reg = obs::metrics()) {
       reg->set_gauge("cluster.admission.queue_depth",
                      static_cast<double>(queue_.size()));
@@ -376,19 +343,8 @@ void ReplicatedService::finalize_round() {
     // enqueue): without this the dequeued round chained to whatever
     // happened to complete the previous round — `aft_trace why` blamed an
     // unrelated caller for the queued work.
-    obs::TraceSink* const sink = obs::trace();
-    obs::EventId prev_cause = obs::kNoEvent;
-    bool cause_installed = false;
-    if (sink != nullptr) {
-      prev_cause = sink->cause();
-      sink->set_cause(next.cause);
-      cause_installed = true;
-    }
-#endif
+    const obs::CauseScope cause(next.cause);
     begin_round(next.input, std::move(next.done));
-#if !defined(AFT_OBS_DISABLED)
-    if (cause_installed) sink->set_cause(prev_cause);
-#endif
   }
 }
 
@@ -423,26 +379,9 @@ void ReplicatedService::on_member_change(const std::string& member, bool up) {
   // The evict record inherits the member-down verdict as its cause
   // (installed by Membership during handler fan-out) and becomes, in turn,
   // the cause of the disturbance/raise it pushes to the switchboard.
-#if !defined(AFT_OBS_DISABLED)
-  obs::TraceSink* const sink = obs::trace();
-  obs::EventId prev_cause = obs::kNoEvent;
-  bool cause_installed = false;
-  if (sink != nullptr) {
-    const obs::EventId ev =
-        sink->emit("cluster.replica", "evict", {{"replica", member}});
-    if (ev != obs::kNoEvent) {
-      prev_cause = sink->cause();
-      sink->set_cause(ev);
-      cause_installed = true;
-    }
-  } else {
-    obs::flight_note("cluster.replica", "evict");
-  }
-#endif
+  const obs::CauseScope cause("cluster.replica", "evict",
+                              {{"replica", member}});
   board_.notify_disturbance("member-down");
-#if !defined(AFT_OBS_DISABLED)
-  if (cause_installed) sink->set_cause(prev_cause);
-#endif
 }
 
 void ReplicatedService::on_ballot_verdict(const std::string& channel,

@@ -40,7 +40,6 @@ std::optional<Clash> AssumptionBase::verify(const Context& ctx) {
               .observed = outcome.observed,
               .subject = subject_,
               .context_revision = ctx.revision()};
-#if !defined(AFT_OBS_DISABLED)
   AFT_METRIC_ADD("core.clashes", 1);
   if (obs::TraceSink* sink = obs::trace(); sink != nullptr) {
     // The clash record becomes the current cause: treatment set in motion
@@ -58,7 +57,6 @@ std::optional<Clash> AssumptionBase::verify(const Context& ctx) {
   // Black-box trigger: a clash is exactly the incident the recorder exists
   // for — preserve the run-up before anything else reacts to it.
   obs::flight_dump("clash");
-#endif
   return clash;
 }
 

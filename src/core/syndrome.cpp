@@ -19,7 +19,6 @@ Diagnosis diagnose_clash(const Clash& clash) {
   d.explanation = "assumption '" + clash.assumption_id + "' (" + clash.statement +
                   ") clashed with observed " + to_string(clash.subject) +
                   " truth: " + clash.observed;
-#if !defined(AFT_OBS_DISABLED)
   if (obs::TraceSink* sink = obs::trace(); sink != nullptr) {
     // Chain the diagnosis to the clash record it explains (the clash may
     // have been emitted earlier in the turn, so restore it as the cause
@@ -32,7 +31,6 @@ Diagnosis diagnose_clash(const Clash& clash) {
   } else {
     obs::flight_note("core.syndrome", "diagnosis");
   }
-#endif
   return d;
 }
 

@@ -25,43 +25,42 @@ void FaultDiscriminator::publish_verdict(const std::string& channel,
 
 void FaultDiscriminator::record(const std::string& channel, bool error) {
   auto [it, inserted] = channels_.try_emplace(channel, params_);
-  if (inserted) {
-    last_judgment_[channel] = FaultJudgment::kNoEvidence;
-    it->second.set_label(channel);
-  }
-  it->second.record(error);
-  const FaultJudgment now = it->second.judgment();
-  if (now != last_judgment_[channel]) {
-    last_judgment_[channel] = now;
-    publish_verdict(channel, now, it->second.score());
+  Channel& c = it->second;
+  if (inserted) c.count.set_label(channel);
+  c.count.record(error);
+  const FaultJudgment now = c.count.judgment();
+  if (now != c.last) {
+    c.last = now;
+    publish_verdict(channel, now, c.count.score());
   }
 }
 
 void FaultDiscriminator::reset_channel(const std::string& channel) {
   const auto it = channels_.find(channel);
   if (it == channels_.end()) return;
-  it->second.reset();
+  Channel& c = it->second;
+  c.count.reset();
   // A reset is a unit replacement: if it moves the verdict (typically
   // kPermanentOrIntermittent -> kNoEvidence), subscribers must hear about
   // it exactly like any record()-driven transition — a switchboard that
-  // suspended the channel has to re-arm.  Silently updating last_judgment_
-  // here made replacements invisible to every subscriber.
-  const FaultJudgment now = it->second.judgment();
-  FaultJudgment& last = last_judgment_[channel];
-  if (now != last) {
-    last = now;
-    publish_verdict(channel, now, it->second.score());
+  // suspended the channel has to re-arm.  Silently updating the last
+  // verdict here made replacements invisible to every subscriber.
+  const FaultJudgment now = c.count.judgment();
+  if (now != c.last) {
+    c.last = now;
+    publish_verdict(channel, now, c.count.score());
   }
 }
 
 FaultJudgment FaultDiscriminator::judgment(const std::string& channel) const {
   const auto it = channels_.find(channel);
-  return it == channels_.end() ? FaultJudgment::kNoEvidence : it->second.judgment();
+  return it == channels_.end() ? FaultJudgment::kNoEvidence
+                               : it->second.count.judgment();
 }
 
 double FaultDiscriminator::score(const std::string& channel) const {
   const auto it = channels_.find(channel);
-  return it == channels_.end() ? 0.0 : it->second.score();
+  return it == channels_.end() ? 0.0 : it->second.count.score();
 }
 
 void FaultDiscriminator::on_verdict_change(VerdictHandler handler) {

@@ -41,9 +41,15 @@ class FaultDiscriminator {
   void publish_verdict(const std::string& channel, FaultJudgment verdict,
                        double score);
 
+  /// One monitored channel: its score and the verdict last published.
+  struct Channel {
+    explicit Channel(AlphaCount::Params params) : count(params) {}
+    AlphaCount count;
+    FaultJudgment last = FaultJudgment::kNoEvidence;
+  };
+
   AlphaCount::Params params_;
-  std::map<std::string, AlphaCount> channels_;
-  std::map<std::string, FaultJudgment> last_judgment_;
+  std::map<std::string, Channel> channels_;
   std::vector<VerdictHandler> handlers_;
 };
 

@@ -10,9 +10,8 @@ namespace {
 /// cause, so everything the fault sets in motion — detector verdicts, scrub
 /// repairs, reconfigurations — carries a causal chain that `aft_trace why`
 /// can walk back to this injection.
-void mark_injection([[maybe_unused]] const char* event,
-                    [[maybe_unused]] std::initializer_list<obs::Field> fields) {
-#if !defined(AFT_OBS_DISABLED)
+void mark_injection(const char* event,
+                    std::initializer_list<obs::Field> fields) {
   AFT_METRIC_ADD("hw.injections", 1);
   if (obs::TraceSink* sink = obs::trace(); sink != nullptr) {
     const obs::EventId id = sink->emit("hw.inject", event, fields);
@@ -20,7 +19,6 @@ void mark_injection([[maybe_unused]] const char* event,
   } else {
     obs::flight_note("hw.inject", event);
   }
-#endif
 }
 
 }  // namespace

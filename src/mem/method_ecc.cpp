@@ -64,12 +64,9 @@ void EccScrubAccess::scrub_step() {
   EccStatus status[kEccBatchBurst];
   hw::Word72 repaired[kEccBatchBurst];
   std::size_t remaining = words_per_scrub_step_;
-#if !defined(AFT_OBS_DISABLED)
   obs::MetricsRegistry* const reg = obs::metrics();
-#endif
   while (remaining > 0) {
     const std::size_t addr = scrub_cursor_;
-#if !defined(AFT_OBS_DISABLED)
     // Patrol sweep duration: a full pass over the device, measured on the
     // obs logical clock from the burst that leaves address 0 to the burst
     // that wraps the cursor back to it.
@@ -77,7 +74,6 @@ void EccScrubAccess::scrub_step() {
       sweep_open_ = true;
       sweep_start_t_ = reg->time();
     }
-#endif
     const std::size_t run = std::min({remaining, words - addr, kEccBatchBurst});
     if (!chip_.read_block(addr, run, buf)) return;
     const EccBatchCounts counts =
@@ -92,14 +88,12 @@ void EccScrubAccess::scrub_step() {
       }
     }
     scrub_cursor_ = addr + run == words ? 0 : addr + run;
-#if !defined(AFT_OBS_DISABLED)
     if (scrub_cursor_ == 0 && sweep_open_ && reg != nullptr &&
         reg->time() >= sweep_start_t_) {
       sweep_open_ = false;
       reg->observe("mem.scrub.sweep_ticks",
                    static_cast<double>(reg->time() - sweep_start_t_));
     }
-#endif
     remaining -= run;
   }
 }

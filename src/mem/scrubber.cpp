@@ -33,11 +33,9 @@ void ScrubberDaemon::pass(std::uint64_t epoch) {
   ++passes_;
   method_.scrub_step();
   AFT_METRIC_ADD("mem.scrub.passes", 1);
-#if !defined(AFT_OBS_DISABLED)
   if (obs::TraceSink* sink = obs::trace(); sink != nullptr && sink->detail()) {
     sink->emit("mem.scrub", "pass", {{"n", passes_}});
   }
-#endif
   sim_.schedule_in(period_, [this, epoch] { pass(epoch); });
 }
 

@@ -78,27 +78,9 @@ void Endpoint::call(const std::string& method, const std::string& payload,
   // The call record is a chain origin: every attempt, wire hop, serve, and
   // the final done record walk back to it (and through it to whatever
   // caused the call).
-#if !defined(AFT_OBS_DISABLED)
-  obs::TraceSink* const sink = obs::trace();
-  obs::EventId prev_cause = obs::kNoEvent;
-  bool cause_installed = false;
-  if (sink != nullptr) {
-    const obs::EventId ev = sink->emit(
-        "net.rpc", "call",
-        {{"endpoint", name_}, {"id", id}, {"method", method}});
-    if (ev != obs::kNoEvent) {
-      prev_cause = sink->cause();
-      sink->set_cause(ev);
-      cause_installed = true;
-    }
-  } else {
-    obs::flight_note("net.rpc", "call");
-  }
-#endif
+  const obs::CauseScope cause(
+      "net.rpc", "call", {{"endpoint", name_}, {"id", id}, {"method", method}});
   start_attempt(id);
-#if !defined(AFT_OBS_DISABLED)
-  if (cause_installed) sink->set_cause(prev_cause);
-#endif
 }
 
 void Endpoint::start_attempt(std::uint64_t id) {

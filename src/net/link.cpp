@@ -25,11 +25,9 @@ Link::Link(sim::Simulator& sim, std::string name, LinkFaults faults,
   }
 }
 
-void Link::note_drop([[maybe_unused]] const Frame& frame,
-                     [[maybe_unused]] const char* reason) {
+void Link::note_drop(const Frame& frame, const char* reason) {
   ++counters_.dropped;
   AFT_METRIC_ADD("net.link.dropped", 1);
-#if !defined(AFT_OBS_DISABLED)
   // Manual emit (not AFT_TRACE) so the record's id can be remembered: a
   // later member-down verdict joins back to the exact frame the wire ate.
   if (obs::TraceSink* const sink = obs::trace(); sink != nullptr) {
@@ -43,7 +41,6 @@ void Link::note_drop([[maybe_unused]] const Frame& frame,
   } else {
     obs::flight_note("net.link", "drop");
   }
-#endif
 }
 
 sim::SimTime Link::draw_delay() {
@@ -75,25 +72,10 @@ bool Link::send(Frame frame) {
   // The send record becomes the cause of every delivery continuation
   // scheduled below: the sim kernel snapshots the sink's current cause per
   // entry, so "deliver" (and everything the receiver emits) chains here.
-#if !defined(AFT_OBS_DISABLED)
-  obs::TraceSink* const sink = obs::trace();
-  obs::EventId prev_cause = obs::kNoEvent;
-  bool cause_installed = false;
-  if (sink != nullptr) {
-    const obs::EventId id =
-        sink->emit("net.link", "send",
-                   {{"link", name_},
-                    {"kind", to_string(frame.kind)},
-                    {"id", frame.id}});
-    if (id != obs::kNoEvent) {
-      prev_cause = sink->cause();
-      sink->set_cause(id);
-      cause_installed = true;
-    }
-  } else {
-    obs::flight_note("net.link", "send");
-  }
-#endif
+  const obs::CauseScope cause("net.link", "send",
+                              {{"link", name_},
+                               {"kind", to_string(frame.kind)},
+                               {"id", frame.id}});
 
   const bool dup = faults_.duplicate > 0.0 && rng_.bernoulli(faults_.duplicate);
   const int copies = dup ? 2 : 1;
@@ -112,10 +94,6 @@ bool Link::send(Frame frame) {
                   "link delivery must schedule allocation-free");
     sim_.schedule_in(draw_delay(), std::move(arrival));
   }
-
-#if !defined(AFT_OBS_DISABLED)
-  if (cause_installed) sink->set_cause(prev_cause);
-#endif
   return true;
 }
 

@@ -78,36 +78,15 @@ void Membership::verdict_changed(const std::string& member,
   // heartbeat frame the wire last ate, via the down_evidence_ hook), and
   // the record itself becomes the current cause while change handlers run —
   // so an evict/raise reaction walks back through the verdict to the drop.
-#if !defined(AFT_OBS_DISABLED)
-  obs::TraceSink* const sink = obs::trace();
-  obs::EventId prev_cause = obs::kNoEvent;
-  bool cause_installed = false;
-  if (sink != nullptr) {
-    obs::EventId evidence = obs::kNoEvent;
-    if (!now_up && down_evidence_) evidence = down_evidence_(member);
-    const obs::EventId ambient = sink->cause();
-    if (evidence != obs::kNoEvent) sink->set_cause(evidence);
-    const obs::EventId ev = sink->emit(
-        "net.membership", now_up ? "member-up" : "member-down",
-        {{"member", member}});
-    if (evidence != obs::kNoEvent) sink->set_cause(ambient);
-    if (ev != obs::kNoEvent) {
-      prev_cause = sink->cause();
-      sink->set_cause(ev);
-      cause_installed = true;
-    }
-  } else {
-    obs::flight_note("net.membership", now_up ? "member-up" : "member-down");
-  }
-#endif
+  const obs::CauseScope cause(
+      "net.membership", now_up ? "member-up" : "member-down",
+      {{"member", member}},
+      !now_up && down_evidence_ ? down_evidence_(member) : obs::kNoEvent);
   // Index loop: a change handler may subscribe further handlers
   // re-entrantly (same hazard the discriminator fix covers).
   for (std::size_t i = 0; i < handlers_.size(); ++i) {
     handlers_[i](member, now_up);
   }
-#if !defined(AFT_OBS_DISABLED)
-  if (cause_installed) sink->set_cause(prev_cause);
-#endif
 }
 
 }  // namespace aft::net

@@ -91,7 +91,7 @@ class FlightRecorder {
 
 #if defined(AFT_OBS_DISABLED)
 
-constexpr FlightRecorder* flight() noexcept { return nullptr; }
+inline FlightRecorder* flight() noexcept { return nullptr; }  // see obs.hpp
 inline void set_flight(FlightRecorder*) noexcept {}
 inline void flight_note(std::string_view, std::string_view) noexcept {}
 inline void flight_dump(std::string_view) noexcept {}

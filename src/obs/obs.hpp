@@ -7,7 +7,7 @@
 // branch per site, plus a ~40-byte ring store into the always-on flight
 // recorder (flight.hpp).  Cost when compiled out (-DAFT_OBS=OFF, which
 // defines AFT_OBS_DISABLED): zero — the macros expand to (void)0 and the
-// accessors collapse to constant nullptr, so every instrumentation site
+// accessors collapse to an inline nullptr, so every instrumentation site
 // folds away.
 //
 // Threading model: the pointers are thread_local and never shared; each
@@ -24,11 +24,16 @@ namespace aft::obs {
 
 #if defined(AFT_OBS_DISABLED)
 
-constexpr TraceSink* trace() noexcept { return nullptr; }
-constexpr MetricsRegistry* metrics() noexcept { return nullptr; }
+// Inline rather than constexpr: the optimizer still folds every site, but
+// the front end does not turn `TraceSink* const sink = trace()` into a
+// literal null and warn (-Wnonnull) on the calls its guard makes
+// unreachable — so call sites need no AFT_OBS_DISABLED fork of their own.
+inline TraceSink* trace() noexcept { return nullptr; }
+inline MetricsRegistry* metrics() noexcept { return nullptr; }
 inline void set_trace(TraceSink*) noexcept {}
 inline void set_metrics(MetricsRegistry*) noexcept {}
 inline void set_obs_time(std::uint64_t) noexcept {}
+constexpr EventId current_cause() noexcept { return kNoEvent; }
 
 #else
 
@@ -43,6 +48,15 @@ void set_metrics(MetricsRegistry* registry) noexcept;
 /// the flight recorder, so black-box records stay timestamped even when
 /// tracing is off.
 void set_obs_time(std::uint64_t t) noexcept;
+
+/// The sink's current cause, kNoEvent when no sink is installed: the
+/// snapshot queued work carries so it can reinstate its scheduler's
+/// provenance later (the sim kernel per entry, the cluster queue per
+/// invoke).
+[[nodiscard]] inline EventId current_cause() noexcept {
+  const TraceSink* const sink = trace();
+  return sink != nullptr ? sink->cause() : kNoEvent;
+}
 
 #endif  // AFT_OBS_DISABLED
 
@@ -94,6 +108,56 @@ class SpanGuard {
   TraceSink* sink_;
   const char* component_ = nullptr;
   EventId prev_span_ = kNoEvent;
+};
+
+/// RAII causal scope for chain-link records: a record that starts a
+/// reaction is the current cause for exactly as long as the reaction runs,
+/// and the previous cause comes back on destruction — normal exit or
+/// unwind.  With no sink installed the emitting form falls back to a
+/// flight-recorder note; under AFT_OBS=OFF every path folds away.
+class CauseScope {
+ public:
+  /// Emits `component`/`event` and installs the record as the current
+  /// cause.  A non-kNoEvent `emitted_under` is the cause stamped on the
+  /// record itself (evidence joined from elsewhere); the ambient cause is
+  /// what the scope restores.  A record dropped by the sink cap installs
+  /// nothing.  `component`/`event` must be static strings: the flight
+  /// recorder keeps the views.
+  CauseScope(std::string_view component, std::string_view event,
+             std::initializer_list<Field> fields = {},
+             EventId emitted_under = kNoEvent)
+      : sink_(trace()) {
+    if (sink_ == nullptr) {
+      flight_note(component, event);
+      return;
+    }
+    prev_ = sink_->cause();
+    if (emitted_under != kNoEvent) sink_->set_cause(emitted_under);
+    const EventId id = sink_->emit(component, event, fields);
+    if (id != kNoEvent) {
+      sink_->set_cause(id);
+    } else {
+      sink_->set_cause(prev_);  // undo emitted_under; nothing to restore
+      sink_ = nullptr;
+    }
+  }
+
+  /// Installs an existing id — kNoEvent included — as the current cause.
+  explicit CauseScope(EventId cause) noexcept : sink_(trace()) {
+    if (sink_ == nullptr) return;
+    prev_ = sink_->cause();
+    sink_->set_cause(cause);
+  }
+
+  ~CauseScope() {
+    if (sink_ != nullptr) sink_->set_cause(prev_);
+  }
+  CauseScope(const CauseScope&) = delete;
+  CauseScope& operator=(const CauseScope&) = delete;
+
+ private:
+  TraceSink* sink_;  ///< the sink to restore; nullptr when nothing installed
+  EventId prev_ = kNoEvent;
 };
 
 }  // namespace aft::obs

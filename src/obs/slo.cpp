@@ -88,9 +88,8 @@ void SloTracker::apply(std::uint64_t burn_permille) noexcept {
   }
 }
 
-void SloTracker::publish([[maybe_unused]] std::uint64_t burn_permille,
-                         [[maybe_unused]] std::uint64_t over,
-                         [[maybe_unused]] std::uint64_t total) {
+void SloTracker::publish(std::uint64_t burn_permille, std::uint64_t over,
+                         std::uint64_t total) {
   const bool breach = breached_;
   if (breach) {
     ++breaches_;
@@ -99,34 +98,17 @@ void SloTracker::publish([[maybe_unused]] std::uint64_t burn_permille,
     ++recoveries_;
     AFT_METRIC_ADD("obs.slo.recoveries", 1);
   }
-#if !defined(AFT_OBS_DISABLED)
   // The transition record is a chain link: it inherits the current cause
   // (the slow RPC completion this record() call sits inside), and becomes
   // the cause of whatever the publisher triggers — so a switchboard raise
   // walks back through the breach to the slow wire.
-  TraceSink* const sink = trace();
-  EventId prev_cause = kNoEvent;
-  bool cause_installed = false;
-  if (sink != nullptr) {
-    const EventId ev = sink->emit("obs.slo", breach ? "breach" : "recover",
-                                  {{"slo", name_},
-                                   {"window", window_index_},
-                                   {"burn_permille", burn_permille},
-                                   {"over", over},
-                                   {"total", total}});
-    if (ev != kNoEvent) {
-      prev_cause = sink->cause();
-      sink->set_cause(ev);
-      cause_installed = true;
-    }
-  } else {
-    flight_note("obs.slo", breach ? "breach" : "recover");
-  }
-#endif
+  const CauseScope cause("obs.slo", breach ? "breach" : "recover",
+                         {{"slo", name_},
+                          {"window", window_index_},
+                          {"burn_permille", burn_permille},
+                          {"over", over},
+                          {"total", total}});
   if (publisher_) publisher_(breach);
-#if !defined(AFT_OBS_DISABLED)
-  if (cause_installed) sink->set_cause(prev_cause);
-#endif
 }
 
 }  // namespace aft::obs

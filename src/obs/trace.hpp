@@ -134,7 +134,8 @@ class TraceSink {
 
   /// Current causal source: the id every subsequent emit() records in its
   /// `cause` field.  Chain origins (fault injections, clashes) install the
-  /// id emit() returned; the sim kernel snapshots/restores it around
+  /// id emit() returned; chain links install theirs for one scope through
+  /// obs::CauseScope (obs.hpp); the sim kernel snapshots/restores it around
   /// schedule/dispatch (see simulator.cpp).
   void set_cause(EventId cause) noexcept { cause_ = cause; }
   [[nodiscard]] EventId cause() const noexcept { return cause_; }

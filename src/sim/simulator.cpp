@@ -9,11 +9,7 @@ namespace aft::sim {
 
 void Simulator::schedule_at(SimTime when, Action action) {
   if (when < now_) throw std::invalid_argument("Simulator: event in the past");
-  std::uint64_t cause = obs::kNoEvent;
-#if !defined(AFT_OBS_DISABLED)
-  if (const obs::TraceSink* sink = obs::trace(); sink != nullptr) {
-    cause = sink->cause();
-  }
+  const obs::EventId cause = obs::current_cause();
   // Dispatch lag: entries fire exactly at `when`, so the schedule-to-
   // dispatch latency is known here.  Recorded through a cached Stat handle
   // so the steady-state cost is one add, not a map lookup.
@@ -25,7 +21,6 @@ void Simulator::schedule_at(SimTime when, Action action) {
     }
     lag_stat_->add(static_cast<double>(when - now_));
   }
-#endif
   queue_.push(EventKey{when, next_seq_++, cause}, std::move(action));
 }
 
@@ -43,7 +38,6 @@ bool Simulator::step_with(obs::TraceSink* sink, obs::FlightRecorder* recorder,
   Action action = queue_.pop();
   now_ = key.when;
   ++executed_;
-#if !defined(AFT_OBS_DISABLED)
   // Dispatch hook: stamp the trace clock so every event emitted by the
   // action carries the right simulated time, and reinstate the cause id
   // that was current when this entry was scheduled — the dispatched
@@ -59,11 +53,6 @@ bool Simulator::step_with(obs::TraceSink* sink, obs::FlightRecorder* recorder,
   // The metrics clock drives timeline windowing (obs/timeline.hpp), so it
   // advances on every dispatch even when tracing is off.
   if (registry != nullptr) registry->set_time(now_);
-#else
-  (void)sink;
-  (void)recorder;
-  (void)registry;
-#endif
   action();
   return true;
 }
@@ -73,41 +62,20 @@ namespace {
 // The flight recorder only matters when no trace sink shadows it (mirrors
 // the old per-event lookup order: trace first, flight only on the miss).
 obs::FlightRecorder* flight_unless_traced(obs::TraceSink* sink) {
-#if !defined(AFT_OBS_DISABLED)
   return sink == nullptr ? obs::flight() : nullptr;
-#else
-  (void)sink;
-  return nullptr;
-#endif
-}
-
-obs::TraceSink* trace_sink() {
-#if !defined(AFT_OBS_DISABLED)
-  return obs::trace();
-#else
-  return nullptr;
-#endif
-}
-
-obs::MetricsRegistry* metrics_registry() {
-#if !defined(AFT_OBS_DISABLED)
-  return obs::metrics();
-#else
-  return nullptr;
-#endif
 }
 
 }  // namespace
 
 bool Simulator::step() {
-  obs::TraceSink* const sink = trace_sink();
-  return step_with(sink, flight_unless_traced(sink), metrics_registry());
+  obs::TraceSink* const sink = obs::trace();
+  return step_with(sink, flight_unless_traced(sink), obs::metrics());
 }
 
 std::uint64_t Simulator::run_until(SimTime until) {
-  obs::TraceSink* const sink = trace_sink();
+  obs::TraceSink* const sink = obs::trace();
   obs::FlightRecorder* const recorder = flight_unless_traced(sink);
-  obs::MetricsRegistry* const registry = metrics_registry();
+  obs::MetricsRegistry* const registry = obs::metrics();
   std::uint64_t ran = 0;
   while (!queue_.empty() && queue_.top_key().when <= until) {
     step_with(sink, recorder, registry);
@@ -118,9 +86,9 @@ std::uint64_t Simulator::run_until(SimTime until) {
 }
 
 std::uint64_t Simulator::run_all() {
-  obs::TraceSink* const sink = trace_sink();
+  obs::TraceSink* const sink = obs::trace();
   obs::FlightRecorder* const recorder = flight_unless_traced(sink);
-  obs::MetricsRegistry* const registry = metrics_registry();
+  obs::MetricsRegistry* const registry = obs::metrics();
   std::uint64_t ran = 0;
   while (step_with(sink, recorder, registry)) ++ran;
   return ran;

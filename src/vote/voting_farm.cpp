@@ -19,7 +19,6 @@ VotingFarm::VotingFarm(std::size_t replicas, Task task)
 
 RoundReport VotingFarm::invoke(Ballot input) {
   ++rounds_;
-#if !defined(AFT_OBS_DISABLED)
   if (obs::MetricsRegistry* reg = obs::metrics(); reg != nullptr) {
     const std::uint64_t t = reg->time();
     if (round_t_valid_ && t >= last_round_t_) {
@@ -29,7 +28,6 @@ RoundReport VotingFarm::invoke(Ballot input) {
     last_round_t_ = t;
     round_t_valid_ = true;
   }
-#endif
   // Hot path of the Fig. 6/7 experiment loops: both buffers are assigned in
   // place (resize reuses capacity across rounds and resizes), and each
   // ballot lands in the voting scratch as it is produced — no separate

@@ -19,15 +19,18 @@ using aft::hw::SpdRecord;
 Machine misjudged_platform(std::size_t banks = 3, std::size_t words = 128) {
   Machine m("optimistically-judged");
   for (std::size_t i = 0; i < banks; ++i) {
+    // Prefix a named index, not a temporary: GCC 12 -Wrestrict misfires on
+    // the inlined `"S" + std::string&&` insert at -O3.
+    const std::string index = std::to_string(i);
     m.add_bank(SpdRecord{.vendor = "CE00000000000000",
                          .model = "DDR-533-1G",  // KB says f1
-                         .serial = "S" + std::to_string(i),
+                         .serial = "S" + index,
                          .lot = "L-opt",
                          .size_mib = 1024,
                          .width_bits = 64,
                          .clock_mhz = 533,
                          .technology = MemoryTechnology::kDdrSdram,
-                         .slot = "B" + std::to_string(i)},
+                         .slot = "B" + index},
                words);
   }
   return m;

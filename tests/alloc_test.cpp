@@ -38,19 +38,28 @@ namespace {
 std::uint64_t g_news = 0;  // single-threaded tests; plain counter suffices
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Out of line, all of them: GCC 12 reports -Wmismatched-new-delete
+// wherever inlining exposes malloc() on one side of a new/delete pair and
+// not the other.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   ++g_news;
   if (size == 0) size = 1;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,10 @@
 #include "arch/dag.hpp"
 #include "arch/event_bus.hpp"
 #include "arch/middleware.hpp"
+
+#if !defined(AFT_OBS_DISABLED)
+#include "obs/obs.hpp"
+#endif
 
 namespace {
 
@@ -369,6 +374,29 @@ TEST(EventBusTest, NestedPublishAlsoDefersMidPublishSubscribers) {
   bus.publish(Message{"inner", "", ""});
   EXPECT_EQ(late, 1);
 }
+
+#if !defined(AFT_OBS_DISABLED)
+TEST(EventBusTest, ThrowingSubscriberLeavesTheCauseAsItWas) {
+  // The publish record is the current cause only while its deliveries run:
+  // a subscriber that throws must not leave it installed for whatever the
+  // caller does next.
+  aft::obs::TraceSink sink;
+  aft::obs::ScopedObs scope(&sink, nullptr);
+  EventBus bus;
+  bus.subscribe("t", [](const Message&) {
+    throw std::runtime_error("subscriber failed");
+  });
+  const Message batch[] = {Message{"t", "", ""}, Message{"t", "", ""}};
+  const aft::obs::EventId ambient = sink.emit("test", "ambient");
+  for (const aft::obs::EventId before : {aft::obs::kNoEvent, ambient}) {
+    sink.set_cause(before);
+    EXPECT_THROW(bus.publish(Message{"t", "", ""}), std::runtime_error);
+    EXPECT_EQ(sink.cause(), before);
+    EXPECT_THROW(bus.publish_batch(batch), std::runtime_error);
+    EXPECT_EQ(sink.cause(), before);
+  }
+}
+#endif
 
 TEST(MessageArenaTest, RecyclesSlotsAndClearsFields) {
   MessageArena arena;

@@ -373,6 +373,13 @@ struct Campaign {
   bool expect_integrity;
 };
 
+// Without this, gtest prints Campaign as a byte dump that includes the heap
+// address of `method`, so the listed test names change from run to run.
+void PrintTo(const Campaign& c, std::ostream* os) {
+  *os << c.method << " under " << to_string(c.semantics) << ", "
+      << (c.expect_integrity ? "holds" : "clashes");
+}
+
 class AdequacyTest : public ::testing::TestWithParam<Campaign> {};
 
 TEST_P(AdequacyTest, MethodVsProfile) {

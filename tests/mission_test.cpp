@@ -83,15 +83,17 @@ TEST(MissionIntegration, ThreeStrategiesCooperateOnOneKernel) {
   // 3.3: autonomic telemetry replication publishing into the shared context.
   aft::util::Xoshiro256 rng(5);
   double radiation = 0.0;
+  // A named Options, not a designated-initializer temporary: GCC 12 reports
+  // -Wmaybe-uninitialized on the temporary's defaulted string members.
+  aft::autonomic::AutonomicReplicationService::Options options;
+  options.policy.lower_after = 200;
   aft::autonomic::AutonomicReplicationService telemetry(
       [&](aft::vote::Ballot in, std::size_t replica) -> aft::vote::Ballot {
         return (radiation > 0 && rng.bernoulli(radiation))
                    ? in + 90 + static_cast<aft::vote::Ballot>(replica)
                    : in;
       },
-      aft::autonomic::AutonomicReplicationService::Options{
-          .policy = {.lower_after = 200}},
-      &ctx);
+      options, &ctx);
 
   // Phase 1: calm.
   for (int t = 0; t < 200; ++t) {

@@ -1039,6 +1039,39 @@ TEST(MembershipTest, DownEvidenceIsReQueriedFreshOnEverySecondDownTransition) {
   EXPECT_EQ(queries[1], "b");
   EXPECT_EQ(membership.downs(), 2u);
 }
+
+TEST(MembershipTest, ThrowingChangeHandlerLeavesTheCauseAsItWas) {
+  // The member-up/-down record is the current cause only while the change
+  // handlers run.  A handler that throws must hand the caller back its own
+  // cause — on the down path too, where the record is emitted under the
+  // evidence hook's cause.
+  aft::obs::TraceSink sink;
+  aft::obs::ScopedObs scope(&sink, nullptr);
+  Simulator sim;
+  Membership::Params params;
+  params.deadline = 10;
+  Membership membership(sim, params);
+  const aft::obs::EventId evidence = sink.emit("net.link", "drop");
+  membership.set_down_evidence(
+      [evidence](const std::string&) { return evidence; });
+  membership.on_change([](const std::string&, bool) {
+    throw std::runtime_error("handler failed");
+  });
+  membership.track("b");
+
+  // Down, inside a monitor dispatch: the kernel installed the cause that
+  // was current when the check was scheduled (none).
+  EXPECT_THROW(sim.run_until(60), std::runtime_error);
+  EXPECT_FALSE(membership.up("b"));
+  EXPECT_EQ(sink.cause(), aft::obs::kNoEvent);
+
+  // Up, called directly under an ambient cause.
+  const aft::obs::EventId ambient = sink.emit("test", "ambient");
+  sink.set_cause(ambient);
+  EXPECT_THROW(membership.reinstate("b"), std::runtime_error);
+  EXPECT_TRUE(membership.up("b"));
+  EXPECT_EQ(sink.cause(), ambient);
+}
 #endif
 
 }  // namespace

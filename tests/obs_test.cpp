@@ -4,6 +4,7 @@
 #include <charconv>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -274,7 +275,7 @@ TEST(ScopedObsTest, MacrosAreNoOpsWithoutInstalledSinks) {
 }
 
 // The remaining tests exercise the thread-local install path, which is
-// compiled out under -DAFT_OBS=OFF (obs::trace() is constexpr nullptr).
+// compiled out under -DAFT_OBS=OFF (obs::trace() is always nullptr).
 #if !defined(AFT_OBS_DISABLED)
 
 TEST(ScopedObsTest, InstallsAndRestoresThreadLocals) {
@@ -528,6 +529,94 @@ TEST(SimulatorCauseTest, DispatchedEventsInheritSchedulingCause) {
   EXPECT_EQ(lines[1].find(R"("cause":)"), std::string::npos);
   EXPECT_NE(lines[2].find(R"("cause":0,"component":"detect","event":"late")"),
             std::string::npos);
+}
+
+// --- Chain-link cause scopes ------------------------------------------------
+
+TEST(CauseScopeTest, RecordIsTheCauseForTheScopeAndRestoredOnUnwind) {
+  TraceSink sink;
+  ScopedObs scope(&sink, nullptr);
+  const aft::obs::EventId ambient = sink.emit("t", "ambient");  // seq 0
+  sink.set_cause(ambient);
+  {
+    const aft::obs::CauseScope link("t", "link", {{"k", 1}});  // seq 1
+    EXPECT_EQ(sink.cause(), 1u);
+    sink.emit("t", "reaction");  // seq 2
+  }
+  EXPECT_EQ(sink.cause(), ambient);
+  EXPECT_THROW(
+      {
+        const aft::obs::CauseScope link("t", "link");
+        throw std::runtime_error("reaction failed");
+      },
+      std::runtime_error);
+  EXPECT_EQ(sink.cause(), ambient);
+
+  const auto lines = lines_of(sink.jsonl());
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_NE(lines[1].find(R"("cause":0,"component":"t","event":"link","k":1)"),
+            std::string::npos);
+  EXPECT_NE(lines[2].find(R"("cause":1,"component":"t","event":"reaction")"),
+            std::string::npos);
+}
+
+TEST(CauseScopeTest, EmittedUnderStampsTheRecordAndRestoresTheAmbient) {
+  TraceSink sink;
+  ScopedObs scope(&sink, nullptr);
+  const aft::obs::EventId evidence = sink.emit("t", "evidence");  // seq 0
+  const aft::obs::EventId ambient = sink.emit("t", "ambient");    // seq 1
+  sink.set_cause(ambient);
+  {
+    const aft::obs::CauseScope link("t", "verdict", {}, evidence);  // seq 2
+    EXPECT_EQ(sink.cause(), 2u);
+  }
+  EXPECT_EQ(sink.cause(), ambient);
+  const auto lines = lines_of(sink.jsonl());
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_NE(lines[2].find(R"("cause":0,"component":"t","event":"verdict")"),
+            std::string::npos);
+}
+
+TEST(CauseScopeTest, InstallsAnExistingIdIncludingNone) {
+  TraceSink sink;
+  ScopedObs scope(&sink, nullptr);
+  const aft::obs::EventId origin = sink.emit("t", "origin");
+  const aft::obs::EventId ambient = sink.emit("t", "ambient");
+  sink.set_cause(ambient);
+  EXPECT_EQ(aft::obs::current_cause(), ambient);
+  {
+    const aft::obs::CauseScope queued(origin);
+    EXPECT_EQ(aft::obs::current_cause(), origin);
+  }
+  {
+    const aft::obs::CauseScope queued(aft::obs::kNoEvent);
+    EXPECT_EQ(aft::obs::current_cause(), aft::obs::kNoEvent);
+  }
+  EXPECT_EQ(aft::obs::current_cause(), ambient);
+}
+
+TEST(CauseScopeTest, RecordDroppedByTheCapInstallsNothing) {
+  TraceSink sink(/*max_events=*/1);
+  ScopedObs scope(&sink, nullptr);
+  const aft::obs::EventId ambient = sink.emit("t", "ambient");
+  sink.set_cause(ambient);
+  {
+    const aft::obs::CauseScope link("t", "link");
+    EXPECT_EQ(sink.cause(), ambient);
+  }
+  EXPECT_EQ(sink.cause(), ambient);
+  EXPECT_EQ(sink.dropped(), 1u);
+}
+
+TEST(CauseScopeTest, WithoutASinkTheRecordGoesToTheFlightRecorder) {
+  aft::obs::FlightRecorder recorder(8);
+  aft::obs::ScopedFlight flight_scope(&recorder);
+  EXPECT_EQ(aft::obs::current_cause(), aft::obs::kNoEvent);
+  { const aft::obs::CauseScope link("net.link", "send", {{"id", 7}}); }
+  const auto records = recorder.snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].component, "net.link");
+  EXPECT_EQ(records[0].event, "send");
 }
 
 // --- Flight dump into an installed sink ------------------------------------

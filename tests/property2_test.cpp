@@ -90,7 +90,8 @@ TEST(MiddlewarePropertyTest, FailStopFailsIffAnyFailureDegradedNeverFails) {
     snapshot.name = "chain";
     std::vector<std::shared_ptr<aft::arch::ScriptedComponent>> components;
     for (int i = 0; i < n; ++i) {
-      const std::string id = "c" + std::to_string(i);
+      const std::string index = std::to_string(i);  // GCC 12 -Wrestrict
+      const std::string id = "c" + index;
       auto c = std::make_shared<aft::arch::ScriptedComponent>(
           id, [](std::int64_t v) { return v + 1; });
       mw.register_component(c);

@@ -111,7 +111,8 @@ TEST(DagPropertyTest, RandomDagsTopoOrderRespectsEveryEdge) {
     aft::arch::DagSnapshot snapshot;
     snapshot.name = "random";
     for (std::size_t i = 0; i < n; ++i) {
-      snapshot.nodes.push_back("n" + std::to_string(i));
+      const std::string index = std::to_string(i);  // GCC 12 -Wrestrict
+      snapshot.nodes.push_back("n" + index);
     }
     // Edges only i -> j with i < j: guaranteed acyclic.
     for (std::size_t i = 0; i < n; ++i) {
