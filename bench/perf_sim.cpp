@@ -1,4 +1,4 @@
-// Perf harness for the notification hot path: the InlineFn + DHeap kernel
+// Perf harness for the notification hot path: the two-tier InlineFn kernel
 // with the interned/batched EventBus vs a faithful reimplementation of
 // their predecessors (std::priority_queue of entries holding std::function;
 // string-keyed std::map bus with per-publish snapshot vectors).  Emits
@@ -13,7 +13,10 @@
 //     publishing daemons fanning out to subscribed handlers — >= 2x the
 //     reference stack end to end.
 // The bench also measures full-detail trace overhead on the mesh (target
-// <10%) and the binary-vs-JSONL trace size ratio.  The process still exits
+// <10%), the binary-vs-JSONL trace size ratio, and two ungated kernel
+// profiles against the reference: the fig7 daemon/burst shape and the
+// open-loop timer mix (thousands of long deadline timers parked beside
+// short-delay traffic).  The process still exits
 // 0 in non-Release builds, where the gates are informational.
 #include <algorithm>
 #include <chrono>
@@ -433,6 +436,60 @@ double fig7_shape_rate(SimTime horizon) {
   return static_cast<double>(events) / secs;
 }
 
+// --- timer_mix: the open-loop front door's schedule profile -----------------
+//
+// One arrival every 2 ticks parks a 5000-tick client deadline timer (the
+// Shot shape) and sets off a request: a chain of 12 short hops, 1..8 ticks
+// apart, like the fan-out/vote/reply traffic a request causes.  Nearly
+// every deadline fires as a no-op long after its request completed, so
+// ~2.5k long timers stay parked under the short-delay traffic — the shape
+// that sank a single heap's sift cost on bench/e2e's open_loop.
+
+constexpr SimTime kMixDeadline = 5000;
+
+template <typename Sim>
+struct MixHop {
+  Sim* sim;
+  std::uint64_t* acc;
+  std::uint64_t left;
+  void operator()() const {
+    *acc += left;
+    if (left > 0) sim->schedule_in(1 + left % 8, MixHop{sim, acc, left - 1});
+  }
+};
+
+template <typename Sim>
+struct MixArrivals {
+  Sim* sim;
+  std::uint64_t* acc;
+  std::uint64_t next = 0;
+  void arm() {
+    sim->schedule_in(2, [this] {
+      ++next;
+      sim->schedule_in(kMixDeadline, Shot{acc, next, 0});
+      sim->schedule_in(1, MixHop<Sim>{sim, acc, 12});
+      arm();
+    });
+  }
+};
+
+template <typename Sim>
+double timer_mix_rate(SimTime horizon) {
+  double secs = 1e300;
+  std::uint64_t events = 0;
+  for (int r = -1; r < kRepeats; ++r) {  // r == -1: untimed warmup pass
+    Sim sim;
+    std::uint64_t acc = 0;
+    MixArrivals<Sim> arrivals{&sim, &acc};
+    arrivals.arm();
+    const auto t0 = Clock::now();
+    events = sim.run_until(horizon);
+    if (r >= 0) secs = std::min(secs, seconds_since(t0));
+    g_sink ^= acc;
+  }
+  return static_cast<double>(events) / secs;
+}
+
 // --- metrics_observe: LogHistogram::add vs RunningStats::add -----------------
 //
 // MetricsRegistry::observe feeds every sample into both accumulators, so the
@@ -548,7 +605,7 @@ int main() {
 #else
   const char* build_type = "debug";
 #endif
-  std::cout << "=== perf_sim: InlineFn+DHeap kernel + interned EventBus vs "
+  std::cout << "=== perf_sim: two-tier InlineFn kernel + interned EventBus vs "
                "priority_queue/std::function/map reference ("
             << build_type << " build) ===\n\n";
 
@@ -562,6 +619,7 @@ int main() {
   constexpr SimTime kMeshHorizon = 20000;
   constexpr SimTime kRefMeshHorizon = 4000;  // rate-normalized slow side
   constexpr SimTime kFig7Horizon = 400000;
+  constexpr SimTime kMixHorizon = 100000;
 
   const double sd_kernel =
       schedule_dispatch_rate<aft::sim::Simulator>(kBatches);
@@ -596,6 +654,8 @@ int main() {
 
   const double fig7_kernel = fig7_shape_rate<aft::sim::Simulator>(kFig7Horizon);
   const double fig7_ref = fig7_shape_rate<RefSimulator>(kFig7Horizon);
+  const double mix_kernel = timer_mix_rate<aft::sim::Simulator>(kMixHorizon);
+  const double mix_ref = timer_mix_rate<RefSimulator>(kMixHorizon);
 
   const std::vector<double> stream = latency_stream();
   const double welford_ns = welford_add_ns(stream);
@@ -611,6 +671,7 @@ int main() {
   row("schedule+dispatch", sd_kernel, sd_ref, "Mevents/s");
   row("daemon mesh (bus)", mesh_kernel_rate, mesh_ref_rate, "Mmsgs/s");
   row("fig7 shape       ", fig7_kernel, fig7_ref, "Mevents/s");
+  row("timer mix        ", mix_kernel, mix_ref, "Mevents/s");
   std::cout << "  mesh trace       : " << json_number(overhead_frac * 100)
             << "% full-detail overhead; binary " << trace_bin.size()
             << " B vs JSONL " << trace_jsonl.size() << " B ("
@@ -657,6 +718,10 @@ int main() {
        << json_number(fig7_kernel)
        << ", \"ref_events_per_sec\": " << json_number(fig7_ref)
        << ", \"speedup\": " << json_number(fig7_kernel / fig7_ref) << "},\n"
+       << "  \"timer_mix\": {\"kernel_events_per_sec\": "
+       << json_number(mix_kernel)
+       << ", \"ref_events_per_sec\": " << json_number(mix_ref)
+       << ", \"speedup\": " << json_number(mix_kernel / mix_ref) << "},\n"
        << "  \"metrics_observe\": {\"hist_add_ns\": " << json_number(hist_ns)
        << ", \"welford_add_ns\": " << json_number(welford_ns)
        << ", \"ratio\": " << json_number(observe_ratio) << "},\n"

@@ -152,6 +152,8 @@ void ReplicatedService::invoke(vote::Ballot input, Done done) {
         if (queue_.size() >= limit) {
           Pending oldest = std::move(queue_.front());
           queue_.pop_front();
+          ++counters_.evicted;
+          AFT_METRIC_ADD("cluster.admission.evicted", 1);
           shed(std::move(oldest.done), oldest.cause);
         }
         break;

@@ -132,6 +132,9 @@ struct ClusterCounters {
   std::uint64_t rpc_failures = 0;       ///< fan-out calls that missed their ballot
   std::uint64_t admitted = 0;           ///< invokes accepted (run or queued)
   std::uint64_t shed = 0;               ///< invokes shed by admission control
+  /// Admitted invokes later shed from the queue head (reject-oldest), so
+  /// admitted == rounds + evicted + queued (+ 1 while a round is in flight).
+  std::uint64_t evicted = 0;
   std::size_t queue_peak = 0;           ///< high-water mark of the invoke queue
 };
 

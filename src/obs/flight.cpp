@@ -43,7 +43,7 @@ void FlightRecorder::record(std::uint64_t t, std::string_view component,
   slot.event = event;
   slot.span = span;
   slot.cause = cause;
-  head_ = (head_ + 1) % ring_.size();
+  if (++head_ == ring_.size()) head_ = 0;
   if (size_ < ring_.size()) ++size_;
   ++recorded_;
 }
@@ -106,7 +106,8 @@ thread_local bool tl_flight_suppressed = false;
 }  // namespace
 
 FlightRecorder* flight() noexcept {
-  if (!FlightRecorder::enabled() || tl_flight_suppressed) return nullptr;
+  static const bool enabled = FlightRecorder::enabled();  // AFT_FLIGHT, once
+  if (!enabled || tl_flight_suppressed) return nullptr;
   if (tl_flight_override != nullptr) return tl_flight_override;
   static thread_local FlightRecorder tl_default;
   return &tl_default;

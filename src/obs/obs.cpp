@@ -4,19 +4,9 @@
 
 namespace aft::obs {
 
-namespace {
-thread_local TraceSink* t_trace = nullptr;
-thread_local MetricsRegistry* t_metrics = nullptr;
-}  // namespace
-
-TraceSink* trace() noexcept { return t_trace; }
-MetricsRegistry* metrics() noexcept { return t_metrics; }
-void set_trace(TraceSink* sink) noexcept { t_trace = sink; }
-void set_metrics(MetricsRegistry* registry) noexcept { t_metrics = registry; }
-
 void set_obs_time(std::uint64_t t) noexcept {
-  if (t_trace != nullptr) t_trace->set_time(t);
-  if (t_metrics != nullptr) t_metrics->set_time(t);
+  if (TraceSink* const sink = trace(); sink != nullptr) sink->set_time(t);
+  if (MetricsRegistry* const reg = metrics(); reg != nullptr) reg->set_time(t);
   if (FlightRecorder* recorder = flight(); recorder != nullptr) {
     recorder->set_time(t);
   }

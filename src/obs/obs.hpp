@@ -37,12 +37,23 @@ constexpr EventId current_cause() noexcept { return kNoEvent; }
 
 #else
 
-/// The calling thread's current sink/registry; nullptr when tracing is off.
-[[nodiscard]] TraceSink* trace() noexcept;
-[[nodiscard]] MetricsRegistry* metrics() noexcept;
+namespace detail {
+// Inline and constant-initialised, so every site reads the slot directly:
+// no call, no TLS init guard.
+inline constinit thread_local TraceSink* t_trace = nullptr;
+inline constinit thread_local MetricsRegistry* t_metrics = nullptr;
+}  // namespace detail
 
-void set_trace(TraceSink* sink) noexcept;
-void set_metrics(MetricsRegistry* registry) noexcept;
+/// The calling thread's current sink/registry; nullptr when tracing is off.
+[[nodiscard]] inline TraceSink* trace() noexcept { return detail::t_trace; }
+[[nodiscard]] inline MetricsRegistry* metrics() noexcept {
+  return detail::t_metrics;
+}
+
+inline void set_trace(TraceSink* sink) noexcept { detail::t_trace = sink; }
+inline void set_metrics(MetricsRegistry* registry) noexcept {
+  detail::t_metrics = registry;
+}
 
 /// Advances the logical clock of both the installed TraceSink (if any) and
 /// the flight recorder, so black-box records stay timestamped even when

@@ -8,17 +8,38 @@
 // the same trace.
 //
 // Hot-path contract (bench/perf_sim defends it): scheduling and dispatching
-// an event never touches the heap once the queue's backing storage is warm.
-// Entries hold a util::InlineFn (64-byte in-object callable storage) inside
-// a util::DHeap whose pop() moves the minimum out — the std::function +
-// std::priority_queue predecessor paid one allocation per schedule and a
-// full entry copy (another allocation) per dispatch, because
-// priority_queue::top() is const.
+// an event never touches the heap once the queue's backing storage is warm,
+// and both are O(1) for every event due less than kWindow ticks ahead.
+// The queue has two tiers over one slot pool:
+//
+//   * Pool.  Entries {when, seq, cause, next, Action} live in chunks that
+//     never move, recycled through a LIFO freelist.  A continuation (a
+//     util::InlineFn with 64 bytes of in-object storage) is written into
+//     its slot once and invoked there — it is never relocated in between.
+//   * Near tier.  An entry due within kWindow ticks is appended to a ring of
+//     kWindow per-tick FIFO lists with an occupancy bitmap.  Every pending
+//     entry is due at or after now(), so the ring never holds two different
+//     ticks in one bucket, and appending in scheduling order already is
+//     (when, seq) order.  Link latencies, heartbeats, membership windows,
+//     RPC deadlines, backoffs and most think/arrival gaps land here.
+//   * Far tier.  An entry due kWindow or more ticks ahead goes into a 4-ary
+//     min-heap of 16-byte {when, slot} nodes, ties broken by the slot's seq
+//     (client deadlines, SLO windows, partition timers).  Most such timers
+//     outlive their purpose and fire as no-ops; the heap only ever sifts
+//     those compact nodes.
+//
+// Each dispatch takes the earlier, by (when, seq), of the first occupied
+// bucket's head and the far heap's top; entries never migrate between
+// tiers.  The earliest near tick is cached, so "is anything due by t?" is
+// O(1) too.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
-#include "util/dheap.hpp"
 #include "util/inline_fn.hpp"
 
 namespace aft::obs {
@@ -47,6 +68,10 @@ class Simulator {
   template <typename F>
   static constexpr bool fits_inline = Action::template stores_inline<F>;
 
+  /// Width of the near tier in ticks (a power of two).  Only the cost of
+  /// scheduling depends on it, never the dispatch order.
+  static constexpr SimTime kWindow = 256;
+
   /// Current logical time.  Starts at 0.
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
@@ -69,16 +94,20 @@ class Simulator {
   std::uint64_t run_all();
 
   /// Executes the single next event, if any.  Returns true when one ran.
+  /// An action that throws is consumed all the same: its slot is freed and
+  /// the exception propagates to the caller.
   bool step();
 
-  [[nodiscard]] bool idle() const noexcept { return queue_.empty(); }
-  [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
+  [[nodiscard]] bool idle() const noexcept { return pending() == 0; }
+  [[nodiscard]] std::size_t pending() const noexcept {
+    return near_size_ + far_.size();
+  }
 
-  /// Pre-sizes the event pool/heap/freelist for `n` concurrently pending
+  /// Pre-sizes the slot pool and the far heap for `n` concurrently pending
   /// actions, so a run whose peak backlog is known (or bounded) up front
   /// never grows the queue mid-flight — the same contract as
   /// obs::Timeline::reserve for the metrics plane.
-  void reserve(std::size_t n) { queue_.reserve(n); }
+  void reserve(std::size_t n);
 
   /// Events executed since construction (lifetime counter; the obs layer
   /// reads it for the "sim.events" metric).
@@ -89,40 +118,85 @@ class Simulator {
   void advance_to(SimTime when);
 
  private:
-  /// step() with the observability lookups hoisted by the caller.  The
-  /// thread-local sink lookups (obs::trace()/obs::flight()) are out-of-line
-  /// calls; run_until/run_all fetch them once per loop instead of once per
-  /// dispatched event (the hoisting idiom obs.hpp prescribes for hot paths).
-  /// Sinks are installed by RAII scopes around whole runs, never from inside
-  /// a scheduled action, so the pointers cannot go stale mid-loop.
-  bool step_with(obs::TraceSink* sink, obs::FlightRecorder* recorder,
-                 obs::MetricsRegistry* registry);
+  using Slot = std::uint32_t;
+  static constexpr Slot kNil = ~Slot{0};
+  static constexpr SimTime kNever = ~SimTime{0};
+  static constexpr SimTime kMask = kWindow - 1;
+  static constexpr std::size_t kWords = kWindow / 64;
+  static_assert(std::has_single_bit(kWindow) && kWindow >= 64);
+  /// Pool chunk size: small, so the pool tracks the peak backlog closely
+  /// and an idle kernel costs one chunk.
+  static constexpr unsigned kChunkBits = 4;
+  static constexpr Slot kChunk = Slot{1} << kChunkBits;
 
-  /// Heap node key.  `cause` is dispatch metadata riding along in the
-  /// compact node (the comparator ignores it): the trace event id current
-  /// when the entry was scheduled (obs::EventId; ~0 = none), kept a plain
-  /// integer so this header stays obs-free.  The queue's values are the
-  /// bare Actions — sifting shuffles these 32-byte nodes while each
-  /// callable is written into its pool slot once and moved out once.
-  struct EventKey {
+  /// One pool slot.  `cause` is dispatch metadata: the trace event id
+  /// current when the entry was scheduled (obs::EventId; ~0 = none), kept a
+  /// plain integer so this header stays obs-free.  `next` links the slot
+  /// into its bucket's FIFO while queued and into the freelist while free.
+  struct Entry {
     SimTime when = 0;
     std::uint64_t seq = 0;
     std::uint64_t cause = 0;
+    Slot next = kNil;
+    Action action;
   };
-  /// Strict TOTAL order on keys ((when, seq) pairs are unique), so the
-  /// heap's pop sequence — and therefore dispatch order — is exactly the
-  /// FIFO-tie-broken time order, independent of heap arity or layout.
-  struct Earlier {
-    bool operator()(const EventKey& a, const EventKey& b) const noexcept {
-      if (a.when != b.when) return a.when < b.when;
-      return a.seq < b.seq;
-    }
+  struct Bucket {
+    Slot head = kNil;
+    Slot tail = kNil;
   };
+  struct FarNode {
+    SimTime when = 0;
+    Slot slot = kNil;
+  };
+
+  /// step() with the observability lookups hoisted by the caller, so
+  /// run_until/run_all fetch them once per loop instead of once per
+  /// dispatched event (the hoisting idiom obs.hpp prescribes for hot
+  /// paths).  Sinks are installed by RAII scopes around whole runs, never
+  /// from inside a scheduled action, so the pointers cannot go stale
+  /// mid-loop.
+  bool step_with(obs::TraceSink* sink, obs::FlightRecorder* recorder,
+                 obs::MetricsRegistry* registry);
+
+  [[nodiscard]] Entry& at(Slot slot) const noexcept {
+    return chunks_[slot >> kChunkBits][slot & (kChunk - 1)];
+  }
+  /// The earliest pending tick; kNever when idle.
+  [[nodiscard]] SimTime next_due() const noexcept {
+    const SimTime far = far_.empty() ? kNever : far_.front().when;
+    return near_min_ < far ? near_min_ : far;
+  }
+
+  Slot acquire();
+  void release(Slot slot) noexcept;
+  void push_near(Slot slot, SimTime when);
+  void push_far(Slot slot, SimTime when);
+  /// Unlinks and returns the earlier of the two tier heads.
+  /// Precondition: !idle().
+  Slot pop_next() noexcept;
+  Slot pop_near() noexcept;
+  Slot pop_far() noexcept;
+  /// The dispatch order: (when, seq), a strict TOTAL order since seqs are
+  /// unique, so dispatch is exactly the FIFO-tie-broken time order
+  /// whichever tier holds an entry and wherever.
+  [[nodiscard]] bool far_before(const FarNode& a, const FarNode& b) const noexcept;
+  /// The first occupied near tick after `t`, kNever when there is none.
+  [[nodiscard]] SimTime near_after(SimTime t) const noexcept;
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  util::DHeap<Action, EventKey, Earlier> queue_;
+
+  std::vector<std::unique_ptr<Entry[]>> chunks_;
+  Slot grown_ = 0;    ///< slots handed out at least once
+  Slot free_ = kNil;  ///< LIFO freelist head
+
+  std::array<Bucket, kWindow> buckets_{};
+  std::array<std::uint64_t, kWords> occupied_{};
+  std::size_t near_size_ = 0;
+  SimTime near_min_ = kNever;  ///< earliest near tick; kNever when empty
+
+  std::vector<FarNode> far_;  ///< 4-ary min-heap
 
   // Cached handle for the "sim.dispatch_lag" stat (schedule_at is the
   // hottest instrumentation site in the tree; a map lookup per schedule

@@ -5,7 +5,9 @@
 // allocation-free once warm:
 //
 //   * sim::Simulator schedule/dispatch with in-tree-shaped continuations
-//     (the InlineFn + DHeap kernel),
+//     (InlineFn continuations in the two-tier queue's slot pool), including
+//     the open-loop shape of thousands of long timers parked in the far
+//     tier beside short-delay traffic,
 //   * arch::EventBus publish and publish_batch over interned topics,
 //     plus MessageArena slot recycling,
 //   * net::Link frame send -> deliver through the recycled slot pool,
@@ -89,7 +91,7 @@ TEST(AllocTest, SimulatorSteadyStateIsAllocationFree) {
   aft::sim::Simulator sim;
   std::uint64_t fired = 0;
 
-  // Warm-up: grow the queue's backing storage past the working set.
+  // Warm-up: grow the slot pool past the working set.
   for (int i = 0; i < 256; ++i) {
     sim.schedule_in(static_cast<aft::sim::SimTime>(i % 17),
                     [&fired] { ++fired; });
@@ -122,7 +124,7 @@ TEST(AllocTest, SimulatorSteadyStateIsAllocationFree) {
 
 TEST(AllocTest, SelfReschedulingDaemonMeshIsAllocationFree) {
   // The fig6/fig7 shape: periodic daemons that re-arm themselves from
-  // inside their own dispatch.  Re-arming pushes while the heap is at its
+  // inside their own dispatch.  Re-arming schedules while the pool is at its
   // high-water mark, so after one warm cycle no growth can occur.
   aft::sim::Simulator sim;
   struct Daemon {
@@ -152,6 +154,62 @@ TEST(AllocTest, SelfReschedulingDaemonMeshIsAllocationFree) {
   std::uint64_t total = 0;
   for (const Daemon& d : mesh) total += d.fires;
   EXPECT_GT(total, 32u * 1000u);
+}
+
+TEST(AllocTest, OpenLoopTimerShapeIsAllocationFree) {
+  // The front door's shape under open-loop traffic: every arrival parks a
+  // 5000-tick client deadline timer (far tier) and sets off a chain of
+  // short hops (near tier), and most deadlines fire long after their
+  // request completed.  One arrival per 2 ticks keeps ~2.5k timers parked.
+  constexpr aft::sim::SimTime kDeadline = 5000;
+  static_assert(kDeadline >= aft::sim::Simulator::kWindow);
+  aft::sim::Simulator sim;
+  std::uint64_t expired = 0;
+  std::uint64_t hops = 0;
+  struct Deadline {
+    std::uint64_t* expired;
+    std::string channel;
+    std::uint64_t request;
+    void operator()() const { ++*expired; }
+  };
+  struct Hop {
+    aft::sim::Simulator* sim;
+    std::uint64_t* hops;
+    std::uint64_t left;
+    void operator()() const {
+      ++*hops;
+      if (left > 0) sim->schedule_in(1 + left % 8, Hop{sim, hops, left - 1});
+    }
+  };
+  struct Arrivals {
+    aft::sim::Simulator* sim;
+    std::uint64_t* expired;
+    std::uint64_t* hops;
+    std::uint64_t next = 0;
+    void arm() {
+      auto arrive = [this] {
+        sim->schedule_in(kDeadline, Deadline{expired, "svc", next++});
+        sim->schedule_in(1, Hop{sim, hops, 12});
+        arm();
+      };
+      static_assert(aft::sim::Simulator::fits_inline<decltype(arrive)>);
+      sim->schedule_in(2, std::move(arrive));
+    }
+  };
+  static_assert(aft::sim::Simulator::fits_inline<Deadline>);
+  static_assert(aft::sim::Simulator::fits_inline<Hop>);
+  Arrivals arrivals{&sim, &expired, &hops};
+  arrivals.arm();
+  sim.run_until(3 * kDeadline);  // warm-up: pool and far heap at their peak
+  EXPECT_GE(sim.pending(), 2400u);
+
+  const std::uint64_t expired_before = expired;
+  const std::uint64_t allocs =
+      allocations_during([&] { sim.run_until(6 * kDeadline); });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_GE(sim.pending(), 2400u);
+  EXPECT_EQ(expired - expired_before, 3 * kDeadline / 2);
+  EXPECT_GT(hops, 12u * expired);
 }
 
 TEST(AllocTest, EventBusPublishSteadyStateIsAllocationFree) {

@@ -17,6 +17,7 @@
 #include "cluster/replica.hpp"
 #include "load/traffic.hpp"
 #include "net/link.hpp"
+#include "obs/obs.hpp"
 #include "sim/simulator.hpp"
 #include "util/arrival.hpp"
 #include "util/rng.hpp"
@@ -247,6 +248,7 @@ TEST(AdmissionTest, RejectOldestEvictsTheQueueHeadAndAdmitsTheTail) {
   EXPECT_EQ(picked(outcomes, /*shed=*/true), (std::vector<Ballot>{1, 2, 3}));
   EXPECT_EQ(picked(outcomes, /*shed=*/false), (std::vector<Ballot>{0, 4, 5}));
   EXPECT_EQ(service.counters().admitted, 6u);  // 1..3 admitted, then evicted
+  EXPECT_EQ(service.counters().evicted, 3u);
   EXPECT_EQ(service.counters().shed, 3u);
   EXPECT_EQ(service.counters().queue_peak, 2u);
   EXPECT_EQ(service.counters().rounds, 3u);
@@ -273,6 +275,48 @@ TEST(AdmissionTest, ProbabilisticShedsProportionallyAndBoundsTheQueue) {
   EXPECT_GT(shed, 0u);
   EXPECT_GT(completed, 1u);
   EXPECT_LE(service.counters().queue_peak, 4u);
+}
+
+TEST(AdmissionTest, AdmittedInvokesAreRoundsEvictionsOrQueuedUnderEveryPolicy) {
+  // Conservation: an admitted invoke runs a round, waits in the queue, or
+  // is evicted from the queue head by reject-oldest — and only evictions
+  // are both admitted and shed.
+  for (const ShedPolicy policy : {ShedPolicy::kRejectNewest,
+                                  ShedPolicy::kRejectOldest,
+                                  ShedPolicy::kProbabilistic}) {
+    SCOPED_TRACE(aft::cluster::to_string(policy));
+    Simulator sim;
+    aft::obs::MetricsRegistry metrics;
+    const aft::obs::ScopedObs scope(nullptr, &metrics);
+    ReplicatedService service(
+        sim, admission_params(3, policy),
+        [](Ballot input, std::size_t) { return correct_value(input); }, 15);
+    service.start();
+    const auto& c = service.counters();
+
+    std::vector<Tagged> outcomes;
+    burst_invoke(sim, service, outcomes, 30);
+    sim.run_until(1);  // burst done: one round in flight, the rest queued or shed
+    EXPECT_EQ(c.admitted, c.rounds + c.evicted + service.queue_depth() + 1);
+    EXPECT_EQ(c.admitted + c.shed - c.evicted, 30u);
+
+    sim.run_until(3000);
+    ASSERT_EQ(outcomes.size(), 30u);
+    EXPECT_EQ(service.queue_depth(), 0u);
+    EXPECT_EQ(c.admitted, c.rounds + c.evicted);
+    EXPECT_EQ(c.shed, picked(outcomes, /*shed=*/true).size());
+    if (policy == ShedPolicy::kRejectOldest) {
+      EXPECT_EQ(c.evicted, c.shed);  // every shed was a queued invoke
+      EXPECT_GT(c.evicted, 0u);
+    } else {
+      EXPECT_EQ(c.evicted, 0u);
+      EXPECT_GT(c.shed, 0u);
+    }
+#if !defined(AFT_OBS_DISABLED)
+    EXPECT_EQ(metrics.counter("cluster.admission.evicted"), c.evicted);
+    EXPECT_EQ(metrics.counter("cluster.admission.admitted"), c.admitted);
+#endif
+  }
 }
 
 TEST(AdmissionTest, UnboundedQueueNeverSheds) {

@@ -1,10 +1,12 @@
-// Unit tests for the discrete-event simulation kernel and the stochastic
-// disturbance processes.
+// Unit tests for the discrete-event simulation kernel (including a
+// differential check of its two-tier queue against a priority_queue model)
+// and the stochastic disturbance processes.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <memory>
 #include <queue>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -170,11 +172,89 @@ TEST(SimulatorTest, InTreeContinuationShapesFitInline) {
   (void)oversized;
 }
 
-// --- Differential test: the DHeap kernel vs a priority_queue reference model
+TEST(SimulatorTest, SameTickAcrossTiersKeepsSchedulingOrder) {
+  // An entry due W+10 ticks ahead parks in the far tier; once the clock has
+  // moved on, an entry for the same tick lands in the near tier.  The far
+  // entries were scheduled first, so they must fire first.
+  constexpr SimTime kW = Simulator::kWindow;
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(kW + 10, [&] { order.push_back(0); });
+  sim.schedule_at(kW + 10, [&] { order.push_back(1); });
+  EXPECT_EQ(sim.run_until(20), 0u);
+  sim.schedule_at(kW + 10, [&] { order.push_back(2); });
+  sim.schedule_in(kW - 10, [&] { order.push_back(3); });
+  sim.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(sim.now(), kW + 10);
+}
+
+TEST(SimulatorTest, SameTickFarEntriesKeepSchedulingOrder) {
+  // Far entries due at one tick fire in scheduling order even though their
+  // recycled pool slots are handed out in a different order.
+  Simulator sim;
+  std::vector<int> order;
+  for (int i = 0; i < 6; ++i) sim.schedule_in(1, [] {});
+  sim.run_all();  // six slots back on the freelist, last freed first
+  for (int i = 0; i < 40; ++i) {
+    sim.schedule_at(5000 + static_cast<SimTime>(i % 3), [&order, i] { order.push_back(i); });
+  }
+  sim.run_all();
+  std::vector<int> expected;
+  for (int tick = 0; tick < 3; ++tick) {
+    for (int i = tick; i < 40; i += 3) expected.push_back(i);
+  }
+  EXPECT_EQ(order, expected);
+}
+
+TEST(SimulatorTest, RunUntilAndAdvanceToWithOnlyFarEntriesPending) {
+  Simulator sim;
+  std::vector<SimTime> fired;
+  sim.schedule_in(5000, [&] { fired.push_back(sim.now()); });
+  sim.schedule_in(200000, [&] { fired.push_back(sim.now()); });
+  EXPECT_EQ(sim.run_until(4999), 0u);
+  EXPECT_EQ(sim.now(), 4999u);
+  EXPECT_EQ(sim.pending(), 2u);
+  EXPECT_THROW(sim.advance_to(5001), std::logic_error);
+  sim.advance_to(5000);  // exactly the next due tick is allowed
+  EXPECT_EQ(sim.run_until(5000), 1u);
+  EXPECT_THROW(sim.advance_to(200001), std::logic_error);
+  sim.advance_to(150000);
+  EXPECT_EQ(sim.run_until(199999), 0u);
+  EXPECT_EQ(sim.run_all(), 1u);
+  EXPECT_EQ(fired, (std::vector<SimTime>{5000, 200000}));
+  EXPECT_TRUE(sim.idle());
+}
+
+TEST(SimulatorTest, ThrowingActionIsConsumedAndTheNextEventStillDispatches) {
+  // Near and far tier alike: the throwing entry leaves the queue, its slot
+  // is recycled, and the kernel keeps dispatching.
+  for (const SimTime delay : {SimTime{3}, SimTime{5000}}) {
+    Simulator sim;
+    int fired = 0;
+    sim.schedule_in(delay, [] { throw std::runtime_error("boom"); });
+    sim.schedule_in(delay, [&] { ++fired; });
+    sim.schedule_in(delay + 1, [&] { ++fired; });
+    EXPECT_EQ(sim.pending(), 3u);
+    EXPECT_THROW(sim.step(), std::runtime_error);
+    EXPECT_EQ(sim.pending(), 2u);
+    EXPECT_EQ(sim.executed(), 1u);
+    EXPECT_TRUE(sim.step());
+    EXPECT_EQ(fired, 1);
+    sim.schedule_in(0, [] { throw std::logic_error("again"); });
+    EXPECT_THROW(sim.run_all(), std::logic_error);
+    EXPECT_EQ(sim.pending(), 1u);
+    EXPECT_EQ(sim.run_all(), 1u);
+    EXPECT_EQ(fired, 2);
+    EXPECT_TRUE(sim.idle());
+  }
+}
+
+// --- Differential test: the two-tier kernel vs a priority_queue reference
 
 namespace differential {
 
-// Reference semantics: the pre-DHeap kernel — std::priority_queue with the
+// Reference semantics: the original kernel — std::priority_queue with the
 // FIFO (when, seq) tie-break.  Both drivers expose the same surface so one
 // scenario can drive them identically; the dispatch logs must match event
 // for event.
@@ -199,53 +279,75 @@ struct RefKernel {
   [[nodiscard]] bool idle() const { return queue.empty(); }
 };
 
-// The re-entrant rule both sides apply on dispatch: low ids fan out into
-// children scheduled 0..4 ticks ahead (delay 0 = same-tick re-entrancy).
-constexpr int kFanOutBelow = 300;
-constexpr int fan_out(int id) { return id < kFanOutBelow ? id % 3 : 0; }
-constexpr SimTime child_delay(int id, int k) {
-  return static_cast<SimTime>((id + 2 * k) % 5);
-}
+// The re-entrant rules both sides apply on dispatch.  SmallDelays: low ids
+// fan out into children scheduled 0..4 ticks ahead (delay 0 = same-tick
+// re-entrancy), one generation deep.
+struct SmallDelays {
+  static constexpr int kFirstChild = 5000;
+  static constexpr int fan_out(int id) { return id < 300 ? id % 3 : 0; }
+  static constexpr SimTime child_delay(int id, int k) {
+    return static_cast<SimTime>((id + 2 * k) % 5);
+  }
+};
 
+// TierDelays: children land at every delay class the two tiers care about
+// (same tick, next tick, both sides of the window edge, deadline- and
+// partition-sized timers), generation after generation until the id budget
+// runs out, so chains span hundreds of ring windows.
+constexpr SimTime kW = Simulator::kWindow;
+constexpr std::array<SimTime, 7> kTierDelays{0, 1, kW - 1, kW, kW + 1, 5000, 200000};
+struct TierDelays {
+  static constexpr int kFirstChild = 1000;
+  static constexpr int fan_out(int id) { return id < 4000 ? 1 + id % 2 : 0; }
+  static constexpr SimTime child_delay(int id, int k) {
+    // Mostly near delays, so chains keep re-arming inside the window.
+    const int pick = (id * 7 + k * 3) % 11;
+    return pick < 7 ? kTierDelays[static_cast<std::size_t>(pick)]
+                    : static_cast<SimTime>(pick - 6);
+  }
+};
+
+template <typename Rule>
 struct SimDriver {
   Simulator sim;
   std::vector<std::pair<SimTime, int>> log;
-  int next_id;
-
-  explicit SimDriver(int first_child_id) : next_id(first_child_id) {}
+  std::vector<std::pair<SimTime, std::size_t>> marks;
+  int next_id = Rule::kFirstChild;
 
   void fire(int id) {
     log.emplace_back(sim.now(), id);
-    for (int k = 0; k < fan_out(id); ++k) {
+    for (int k = 0; k < Rule::fan_out(id); ++k) {
       const int child = next_id++;
-      sim.schedule_in(child_delay(id, k), [this, child] { fire(child); });
+      sim.schedule_in(Rule::child_delay(id, k), [this, child] { fire(child); });
     }
   }
   void schedule_at(SimTime when, int id) {
     sim.schedule_at(when, [this, id] { fire(id); });
   }
   [[nodiscard]] SimTime now() const { return sim.now(); }
+  void mark() { marks.emplace_back(sim.now(), sim.pending()); }
   void run_until(SimTime t) { sim.run_until(t); }
   void run_all() { sim.run_all(); }
   void advance_to(SimTime t) { sim.advance_to(t); }
   bool step() { return sim.step(); }
 };
 
+template <typename Rule>
 struct RefDriver {
   RefKernel kernel;
   std::vector<std::pair<SimTime, int>> log;
-  int next_id;
-
-  explicit RefDriver(int first_child_id) : next_id(first_child_id) {}
+  std::vector<std::pair<SimTime, std::size_t>> marks;
+  int next_id = Rule::kFirstChild;
 
   void fire(int id) {
     log.emplace_back(kernel.now, id);
-    for (int k = 0; k < fan_out(id); ++k) {
-      kernel.schedule_at(kernel.now + child_delay(id, k), next_id++);
+    for (int k = 0; k < Rule::fan_out(id); ++k) {
+      kernel.schedule_at(kernel.now + Rule::child_delay(id, k), next_id++);
     }
   }
   void schedule_at(SimTime when, int id) { kernel.schedule_at(when, id); }
   [[nodiscard]] SimTime now() const { return kernel.now; }
+  void mark() { marks.emplace_back(kernel.now, kernel.queue.size()); }
   bool step() {
     if (kernel.idle()) return false;
     const RefKernel::Entry e = kernel.queue.top();
@@ -278,7 +380,7 @@ void drive(Driver& d) {
   for (SimTime t = 0; t <= 45; t += 3) d.run_until(t);
   d.run_all();
   // Move the clock through dead air, then a second wave drained one step at
-  // a time (exercises step()'s move-out path directly).
+  // a time (exercises step()'s dispatch path directly).
   d.advance_to(d.now() + 7);
   const SimTime base = d.now();
   for (int id = 1000; id < 1100; ++id) {
@@ -288,15 +390,70 @@ void drive(Driver& d) {
   }
 }
 
+// A seeded scenario across both tiers: roots at every tier delay (plus a
+// little jitter, so one tick collects entries from both tiers), scheduled
+// while the clock moves, drained in windows that straddle ring wraps; then
+// only far timers pending while run_until and advance_to move the clock.
+template <typename Driver>
+void drive_tiers(Driver& d, std::uint64_t seed) {
+  aft::util::Xoshiro256 rng(seed);
+  for (int id = 0; id < 400; ++id) {
+    const SimTime delay =
+        kTierDelays[rng.uniform_int(0, kTierDelays.size() - 1)] + rng.uniform_int(0, 3);
+    d.schedule_at(d.now() + delay, id);
+    if (id % 25 == 24) {
+      d.run_until(d.now() + rng.uniform_int(0, kW + 16));
+      d.mark();
+    }
+  }
+  for (int i = 0; i < 40; ++i) {
+    d.run_until(d.now() + rng.uniform_int(1, 2 * kW));
+    d.mark();
+  }
+  d.run_all();
+  d.mark();
+  // Only far entries pending (ids past the fan-out budget stay leaves).
+  for (int id = 900; id < 960; ++id) {
+    d.schedule_at(d.now() + (id % 2 == 0 ? 5000 : 200000) + rng.uniform_int(0, 2), id);
+  }
+  d.run_until(d.now() + 3 * kW);
+  d.mark();
+  d.advance_to(d.now() + 4000 - 3 * kW);
+  d.mark();
+  d.run_until(d.now() + 10 * kW);
+  d.mark();
+  while (d.step()) {
+  }
+  d.mark();
+}
+
 TEST(SimulatorDifferentialTest, AdversarialScheduleMatchesPriorityQueueModel) {
-  SimDriver real(/*first_child_id=*/5000);
-  RefDriver ref(/*first_child_id=*/5000);
+  SimDriver<SmallDelays> real;
+  RefDriver<SmallDelays> ref;
   drive(real);
   drive(ref);
   ASSERT_EQ(real.log.size(), ref.log.size());
   EXPECT_EQ(real.log, ref.log);
   EXPECT_EQ(real.next_id, ref.next_id);  // same re-entrant fan-out happened
   EXPECT_EQ(real.now(), ref.now());
+}
+
+TEST(SimulatorDifferentialTest, TierMixMatchesPriorityQueueModel) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    SimDriver<TierDelays> real;
+    RefDriver<TierDelays> ref;
+    drive_tiers(real, seed);
+    drive_tiers(ref, seed);
+    ASSERT_EQ(real.log.size(), ref.log.size());
+    EXPECT_EQ(real.log, ref.log);
+    EXPECT_EQ(real.marks, ref.marks);
+    EXPECT_EQ(real.next_id, ref.next_id);
+    EXPECT_EQ(real.now(), ref.now());
+    // The scenario spans many ring windows and reached the fan-out budget.
+    EXPECT_GT(real.now(), 10 * kW);
+    EXPECT_GT(real.next_id, 4000);
+  }
 }
 
 }  // namespace differential

@@ -6,12 +6,10 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
-#include "util/dheap.hpp"
 #include "util/histogram.hpp"
 #include "util/log_histogram.hpp"
 #include "util/ring_buffer.hpp"
@@ -21,7 +19,6 @@
 
 namespace {
 
-using aft::util::DHeap;
 using aft::util::Histogram;
 using aft::util::LogHistogram;
 using aft::util::RingBuffer;
@@ -233,80 +230,6 @@ TEST(HistogramTest, RenderLogScaleRejectsNonPositiveWidth) {
   EXPECT_THROW((void)h.render_log_scale(0), std::invalid_argument);
   EXPECT_THROW((void)h.render_log_scale(-7), std::invalid_argument);
   EXPECT_NO_THROW((void)h.render_log_scale(1));
-}
-
-// --- DHeap ------------------------------------------------------------------
-
-TEST(DHeapTest, PopsInSortedOrder) {
-  DHeap<int, int> heap;
-  const std::array<int, 12> values{9, 3, 7, 3, 1, 12, 0, 5, 3, 8, 2, 11};
-  for (int v : values) heap.push(v, v);
-  EXPECT_EQ(heap.size(), values.size());
-  std::vector<int> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  for (int expected : sorted) {
-    EXPECT_EQ(heap.top(), expected);
-    EXPECT_EQ(heap.top_key(), expected);
-    EXPECT_EQ(heap.pop(), expected);
-  }
-  EXPECT_TRUE(heap.empty());
-}
-
-TEST(DHeapTest, InterleavedPushPopAgainstSortedModel) {
-  // Randomized differential check against a sorted-vector model, covering
-  // the hole-based sift paths at many sizes (including the single-element
-  // pop special case) and the freelist recycling of pool slots.
-  DHeap<std::uint64_t, std::uint64_t> heap;
-  std::vector<std::uint64_t> model;
-  Xoshiro256 rng(99);
-  for (int round = 0; round < 2000; ++round) {
-    if (model.empty() || rng.uniform_int(0, 2) != 0) {
-      const std::uint64_t v = rng.uniform_int(0, 50);
-      heap.push(v, v);
-      model.insert(std::upper_bound(model.begin(), model.end(), v), v);
-    } else {
-      ASSERT_EQ(heap.pop(), model.front());
-      model.erase(model.begin());
-    }
-    ASSERT_EQ(heap.size(), model.size());
-    if (!model.empty()) {
-      ASSERT_EQ(heap.top(), model.front());
-    }
-  }
-  while (!model.empty()) {
-    EXPECT_EQ(heap.pop(), model.front());
-    model.erase(model.begin());
-  }
-}
-
-TEST(DHeapTest, MoveOnlyElementsAndClear) {
-  struct Item {
-    std::uint64_t tag = 0;
-    std::unique_ptr<int> payload;
-  };
-  DHeap<Item, std::uint64_t> heap;
-  heap.reserve(8);
-  for (std::uint64_t k : {5u, 1u, 3u}) {
-    heap.push(k, Item{k, std::make_unique<int>(static_cast<int>(k * 10))});
-  }
-  const Item first = heap.pop();
-  EXPECT_EQ(first.tag, 1u);
-  EXPECT_EQ(*first.payload, 10);
-  heap.clear();
-  EXPECT_TRUE(heap.empty());
-  EXPECT_EQ(heap.size(), 0u);
-}
-
-TEST(DHeapTest, ValueAndKeyMayDiffer) {
-  // The value need not embed its key: the heap orders purely on the pushed
-  // key, FIFO ties broken however the caller encodes them in the key.
-  DHeap<std::string, std::pair<int, int>> heap;
-  heap.push({2, 0}, "third");
-  heap.push({1, 0}, "first");
-  heap.push({1, 1}, "second");
-  EXPECT_EQ(heap.pop(), "first");
-  EXPECT_EQ(heap.pop(), "second");
-  EXPECT_EQ(heap.pop(), "third");
 }
 
 // --- RunningStats -----------------------------------------------------------
