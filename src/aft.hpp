@@ -7,14 +7,12 @@
 
 // util — deterministic RNG, statistics, rendering helpers
 #include "util/histogram.hpp"
-#include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
 #include "util/series.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
-// sim — deterministic discrete-event kernel and disturbance processes
-#include "sim/processes.hpp"
+// sim — deterministic discrete-event kernel
 #include "sim/simulator.hpp"
 
 // hw — simulated platform: SPD introspection, fault models, injectors
@@ -85,11 +83,11 @@
 // vote / autonomic — Sect. 3.3: restoring organ + reflective switchboards
 #include "autonomic/estimator.hpp"
 #include "autonomic/experiment.hpp"
+#include "autonomic/organ.hpp"
 #include "autonomic/secure_message.hpp"
 #include "autonomic/service.hpp"
 #include "autonomic/switchboard.hpp"
 #include "vote/dtof.hpp"
-#include "vote/health.hpp"
 #include "vote/voter.hpp"
 #include "vote/voting_farm.hpp"
 #include "vote/weighted.hpp"

@@ -1,5 +1,7 @@
 #include "autonomic/service.hpp"
 
+#include <algorithm>
+#include <span>
 #include <stdexcept>
 
 namespace aft::autonomic {
@@ -10,13 +12,12 @@ AutonomicReplicationService::AutonomicReplicationService(Task task,
     : context_(context),
       options_(options),
       task_(std::move(task)),
-      farm_(options.initial_replicas,
-            [this](vote::Ballot input, std::size_t slot) {
-              return task_(input, unit_of_slot_[slot]);
-            }),
-      board_(farm_, options.policy, options.shared_key),
+      organ_(options.initial_replicas,
+             [this](vote::Ballot input, std::size_t slot) {
+               return task_(input, unit_of_slot_[slot]);
+             },
+             options.policy, options.shared_key),
       estimator_(options.estimator, context),
-      health_(options.health),
       assumption_(
           options.assumption_id, "Degree of employed redundancy is r",
           core::Subject::kExecutionEnvironment,
@@ -25,15 +26,15 @@ AutonomicReplicationService::AutonomicReplicationService(Task task,
                                "initial dimensioning; autonomically revised "
                                "on every switchboard resize",
                            .stated_at = core::BindingTime::kRun},
-          static_cast<std::int64_t>(farm_.replicas()),
+          static_cast<std::int64_t>(farm().replicas()),
           options.assumption_id + ".observed"),
       replicas_key_(options.assumption_id + ".observed") {
   if (!task_) throw std::invalid_argument("AutonomicReplicationService: null task");
-  ensure_slot_units(farm_.replicas());
+  ensure_slot_units(farm().replicas());
 
   // Every authenticated resize re-binds the dimensioning assumption: the
   // hypothesis is kept in lockstep with reality by construction.
-  board_.set_resize_hook([this](std::size_t replicas, bool) {
+  organ_.board().set_resize_hook([this](std::size_t replicas, bool) {
     ensure_slot_units(replicas);
     assumption_.rebind(static_cast<std::int64_t>(replicas));
     if (context_ != nullptr) {
@@ -41,8 +42,19 @@ AutonomicReplicationService::AutonomicReplicationService(Task task,
     }
   });
   if (context_ != nullptr) {
-    context_->set(replicas_key_, static_cast<std::int64_t>(farm_.replicas()));
+    context_->set(replicas_key_, static_cast<std::int64_t>(farm().replicas()));
   }
+  // The organ judges every unit; under retire_faulty_units, a unit judged
+  // permanently or intermittently faulty hands its slot to a spare, which
+  // starts with a clean history of its own.
+  organ_.on_verdict([this](std::size_t unit, detect::FaultJudgment verdict) {
+    if (!options_.retire_faulty_units ||
+        verdict != detect::FaultJudgment::kPermanentOrIntermittent) {
+      return;
+    }
+    *std::ranges::find(unit_of_slot_, unit) = next_unit_++;  // judged: in a slot
+    ++units_replaced_;
+  });
 }
 
 void AutonomicReplicationService::ensure_slot_units(std::size_t n) {
@@ -51,30 +63,11 @@ void AutonomicReplicationService::ensure_slot_units(std::size_t n) {
   }
 }
 
-std::size_t AutonomicReplicationService::unit_of_slot(std::size_t slot) const {
-  if (slot >= unit_of_slot_.size()) {
-    throw std::out_of_range("AutonomicReplicationService: slot index");
-  }
-  return unit_of_slot_[slot];
-}
-
 std::optional<vote::Ballot> AutonomicReplicationService::call(vote::Ballot input) {
-  last_report_ = farm_.invoke(input);
+  last_report_ = organ_.vote(input);
   estimator_.observe(last_report_);
-  board_.observe(last_report_);
-
-  if (options_.retire_faulty_units) {
-    health_.observe(farm_, last_report_);
-    for (const std::size_t slot : health_.retirable()) {
-      // The oracle discriminated this slot's unit as permanently or
-      // intermittently faulty: replace it with a spare and restart its
-      // health history (the new unit deserves a clean slate).
-      unit_of_slot_[slot] = next_unit_++;
-      ++units_replaced_;
-      health_.mark_repaired(slot);
-    }
-  }
-
+  organ_.settle(last_report_, farm().last_ballots(),
+                std::span<const std::size_t>(unit_of_slot_).first(last_report_.n));
   if (!last_report_.success) return std::nullopt;
   return last_report_.value;
 }

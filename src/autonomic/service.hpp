@@ -1,7 +1,7 @@
-// AutonomicReplicationService — the Sect. 3.3 stack as one facade:
+// AutonomicReplicationService — the Sect. 3.3 stack in process, as one facade:
 //
-//   VotingFarm (restoring organ)
-//     + ReflectiveSwitchboard (dtof-driven redundancy revision)
+//   RestoringOrgan (VotingFarm + ReflectiveSwitchboard + the per-unit
+//     dissent judge; see organ.hpp)
 //     + DisturbanceEstimator (smoothed environment deduction, published
 //       into a Context for other subsystems / gestalt agents)
 //     + the dimensioning assumption as a first-class Assumption variable
@@ -19,10 +19,10 @@
 #include <string>
 
 #include "autonomic/estimator.hpp"
+#include "autonomic/organ.hpp"
 #include "autonomic/switchboard.hpp"
 #include "core/assumption.hpp"
 #include "core/context.hpp"
-#include "vote/health.hpp"
 #include "vote/voting_farm.hpp"
 
 namespace aft::autonomic {
@@ -35,13 +35,11 @@ class AutonomicReplicationService {
     DisturbanceEstimator::Params estimator{};
     std::uint64_t shared_key = 0xA47;  ///< switchboard<->farm channel key
     std::string assumption_id = "dim.redundancy";
-    /// When true, per-slot dissent is tracked by an alpha-count oracle and
-    /// a slot judged permanently/intermittently faulty has its physical
-    /// unit REPLACED (the next spare unit id is mapped in) — Sect. 3.2's
-    /// "replace on failure" decision, taken inside the Sect. 3.3 organ,
-    /// only when the oracle has discriminated the fault as non-transient.
+    /// When true, a unit the organ judges permanently/intermittently
+    /// faulty is REPLACED (the next spare unit id is mapped in) — Sect.
+    /// 3.2's "replace on failure" decision, taken inside the Sect. 3.3
+    /// organ only once the fault is discriminated as non-transient.
     bool retire_faulty_units = false;
-    detect::AlphaCount::Params health{};
   };
 
   /// The replicated method.  The second argument is a *unit id*: the
@@ -61,15 +59,16 @@ class AutonomicReplicationService {
   /// assumption failure the caller must handle — it is also counted).
   std::optional<vote::Ballot> call(vote::Ballot input);
 
-  [[nodiscard]] std::size_t replicas() const noexcept { return farm_.replicas(); }
+  [[nodiscard]] std::size_t replicas() const noexcept { return farm().replicas(); }
   [[nodiscard]] double disturbance_level() const noexcept {
     return estimator_.level();
   }
-  [[nodiscard]] std::uint64_t calls() const noexcept { return farm_.rounds(); }
-  [[nodiscard]] std::uint64_t failures() const noexcept { return farm_.failures(); }
+  [[nodiscard]] std::uint64_t calls() const noexcept { return farm().rounds(); }
+  [[nodiscard]] std::uint64_t failures() const noexcept { return farm().failures(); }
   [[nodiscard]] const ReflectiveSwitchboard& switchboard() const noexcept {
-    return board_;
+    return organ_.board();
   }
+  [[nodiscard]] const RestoringOrgan& organ() const noexcept { return organ_; }
   /// The live dimensioning assumption a(r): "Degree of employed redundancy
   /// is r" (the Fig. 7 caption's assumption variable).
   [[nodiscard]] const core::Assumption<std::int64_t>& dimensioning_assumption()
@@ -85,9 +84,12 @@ class AutonomicReplicationService {
     return units_replaced_;
   }
   /// Unit currently serving a replica slot.
-  [[nodiscard]] std::size_t unit_of_slot(std::size_t slot) const;
+  [[nodiscard]] std::size_t unit_of_slot(std::size_t slot) const {
+    return unit_of_slot_.at(slot);
+  }
 
  private:
+  [[nodiscard]] const vote::VotingFarm& farm() const noexcept { return organ_.farm(); }
   void ensure_slot_units(std::size_t n);
 
   core::Context* context_;
@@ -96,10 +98,8 @@ class AutonomicReplicationService {
   std::vector<std::size_t> unit_of_slot_;
   std::size_t next_unit_ = 0;
   std::uint64_t units_replaced_ = 0;
-  vote::VotingFarm farm_;
-  ReflectiveSwitchboard board_;
+  RestoringOrgan organ_;
   DisturbanceEstimator estimator_;
-  vote::ReplicaHealthTracker health_;
   core::Assumption<std::int64_t> assumption_;
   vote::RoundReport last_report_{};
   std::string replicas_key_;

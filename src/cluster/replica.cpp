@@ -39,11 +39,9 @@ ReplicatedService::ReplicatedService(sim::Simulator& sim, ClusterParams params,
     : sim_(sim),
       params_(std::move(params)),
       task_(std::move(task)),
-      farm_(params_.policy.min_replicas,
-            [this](vote::Ballot, std::size_t slot) { return slot_ballot(slot); }),
-      board_(farm_, params_.policy, params_.shared_key),
+      organ_(params_.policy.min_replicas, nullptr, params_.policy,
+             params_.shared_key),
       membership_(sim, params_.membership),
-      ballot_disc_(params_.ballot_alpha),
       admit_rng_(seed + 8 * params_.pool) {
   if (!task_) {
     throw std::invalid_argument("ReplicatedService: null task");
@@ -99,17 +97,31 @@ ReplicatedService::ReplicatedService(sim::Simulator& sim, ClusterParams params,
       node.resumed_beats = 0;
     }
   });
-  ballot_disc_.on_verdict_change(
-      [this](const std::string& channel, detect::FaultJudgment verdict) {
-        on_ballot_verdict(channel, verdict);
-      });
+  // This front-end's treatment of a verdict: a unit judged permanently or
+  // intermittently faulty is a suspect, out of rounds until repair().
+  organ_.on_verdict([this](std::size_t i, detect::FaultJudgment verdict) {
+    Node& node = *nodes_[i];
+    const bool now_suspect =
+        verdict == detect::FaultJudgment::kPermanentOrIntermittent;
+    if (now_suspect == node.suspect) return;
+    node.suspect = now_suspect;
+    if (now_suspect) {
+      ++counters_.suspects;
+      AFT_METRIC_ADD("cluster.suspects", 1);
+      AFT_TRACE("cluster.replica", "suspect", {{"replica", node.name}});
+    } else {
+      ++counters_.cleared;
+      AFT_METRIC_ADD("cluster.cleared", 1);
+      AFT_TRACE("cluster.replica", "clear", {{"replica", node.name}});
+    }
+  });
 }
 
 void ReplicatedService::start() {
   if (started_) return;
   started_ = true;
   AFT_TRACE("cluster.coordinator", "start",
-            {{"pool", nodes_.size()}, {"arity", farm_.replicas()}});
+            {{"pool", nodes_.size()}, {"arity", organ_.farm().replicas()}});
   for (const auto& node : nodes_) membership_.track(node->name);
   for (const auto& node : nodes_) {
     node->replica.start_heartbeats(params_.heartbeat_period);
@@ -211,7 +223,7 @@ void ReplicatedService::begin_round(vote::Ballot input, Done done) {
   r.id = ++round_seq_;
   r.input = input;
   r.done = std::move(done);
-  r.n = farm_.replicas();
+  r.n = organ_.farm().replicas();
   r.ballots.clear();
   for (std::size_t slot = 0; slot < r.n; ++slot) {
     r.ballots.push_back(no_reply(slot));
@@ -291,19 +303,12 @@ void ReplicatedService::on_reply(std::uint64_t round, std::size_t slot,
   if (--round_.pending == 0 && !round_.dispatching) finalize_round();
 }
 
-vote::Ballot ReplicatedService::slot_ballot(std::size_t slot) const {
-  // The farm may have been raised mid-round (an eviction's disturbance
-  // resize): slots beyond what this round collected vote their sentinel.
-  if (round_in_flight_ && slot < round_.ballots.size()) {
-    return round_.ballots[slot];
-  }
-  return no_reply(slot);
-}
-
 void ReplicatedService::finalize_round() {
   Round& r = round_;
   ++counters_.rounds;
-  const vote::RoundReport report = farm_.invoke(r.input);
+  // The vote covers the farm's arity now (an eviction may have raised it
+  // mid-round); slots this round never collected vote their sentinel.
+  const vote::RoundReport report = organ_.vote(r.ballots);
   if (!report.success) {
     ++counters_.no_quorum;
     AFT_METRIC_ADD("cluster.no_quorum", 1);
@@ -315,19 +320,9 @@ void ReplicatedService::finalize_round() {
              {"success", report.success},
              {"dissent", report.dissent},
              {"distance", report.distance}});
-  // Vote-layer discrimination, real slots only: each assigned replica's
-  // agreement with the majority is one judgment round for its channel.
-  // Sentinel slots of replicas that never answered count as dissent — not
-  // answering a round it was assigned IS that replica's error.
-  if (report.success) {
-    for (std::size_t slot = 0; slot < r.assignment.size(); ++slot) {
-      const std::size_t node = r.assignment[slot];
-      const bool dissented =
-          slot >= r.ballots.size() || r.ballots[slot] != report.value;
-      ballot_disc_.record(nodes_[node]->name, dissented);
-    }
-  }
-  board_.observe(report);
+  // Judge the assigned replicas (unit = pool index).  A sentinel counts as
+  // dissent: not answering a round it was assigned IS the replica's error.
+  organ_.settle(report, r.ballots, r.assignment);
   round_in_flight_ = false;
   Done done = std::move(r.done);
   r.done = nullptr;
@@ -383,36 +378,16 @@ void ReplicatedService::on_member_change(const std::string& member, bool up) {
   // the cause of the disturbance/raise it pushes to the switchboard.
   const obs::CauseScope cause("cluster.replica", "evict",
                               {{"replica", member}});
-  board_.notify_disturbance("member-down");
-}
-
-void ReplicatedService::on_ballot_verdict(const std::string& channel,
-                                          detect::FaultJudgment verdict) {
-  const auto it = index_.find(channel);
-  if (it == index_.end()) return;
-  Node& node = *nodes_[it->second];
-  const bool now_suspect =
-      verdict == detect::FaultJudgment::kPermanentOrIntermittent;
-  if (now_suspect == node.suspect) return;
-  node.suspect = now_suspect;
-  if (now_suspect) {
-    ++counters_.suspects;
-    AFT_METRIC_ADD("cluster.suspects", 1);
-    AFT_TRACE("cluster.replica", "suspect", {{"replica", channel}});
-  } else {
-    ++counters_.cleared;
-    AFT_METRIC_ADD("cluster.cleared", 1);
-    AFT_TRACE("cluster.replica", "clear", {{"replica", channel}});
-  }
+  organ_.board().notify_disturbance("member-down");
 }
 
 void ReplicatedService::repair(std::size_t i) {
   Node& node = *nodes_.at(i);
   AFT_TRACE("cluster.replica", "repair", {{"replica", node.name}});
   // Unit replacement: fresh ballot evidence (the reset's verdict change
-  // clears the suspect flag via on_ballot_verdict) and, if the member was
+  // clears the suspect flag via the verdict hook) and, if the member was
   // evicted, a membership reinstate.
-  ballot_disc_.reset_channel(node.name);
+  organ_.reset(i);
   if (started_ && !membership_.up(node.name)) membership_.reinstate(node.name);
 }
 

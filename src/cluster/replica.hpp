@@ -9,11 +9,11 @@
 //   fan-out     invoke() sends one RPC per *live* replica; responses are
 //               collected as vote::Ballots (no-reply slots get per-slot
 //               sentinel ballots that can never form a majority).
-//   voting      the collected ballots feed a vote::VotingFarm round, so
-//               dtof and dissent are computed over network replicas; a
-//               second detect::FaultDiscriminator judges each replica's
-//               ballot stream and retires persistent dissenters
-//               ("suspect") until repair().
+//   organ       the collected ballots are voted and settled by the same
+//               autonomic::RestoringOrgan as in process: dtof and dissent
+//               over network replicas, and a per-unit judge of each
+//               ballot stream whose persistent dissenters this front-end
+//               retires ("suspect") until repair().
 //   liveness    replicas heartbeat the coordinator; net::Membership turns
 //               miss patterns into evict/reinstate transitions.  A member
 //               that resumes beating is auto-reinstated after
@@ -42,16 +42,14 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "autonomic/organ.hpp"
 #include "autonomic/switchboard.hpp"
-#include "detect/alpha_count.hpp"
-#include "detect/discriminator.hpp"
 #include "net/breaker.hpp"
 #include "net/endpoint.hpp"
 #include "net/link.hpp"
@@ -104,10 +102,6 @@ struct ClusterParams {
   std::optional<net::CircuitBreaker::Params> breaker{};
   sim::SimTime heartbeat_period = 4;
   net::Membership::Params membership{};
-  /// Evidence filter judging each replica's *ballot* stream (dissent from
-  /// the majority = one error).  Latches like any alpha-count: a persistent
-  /// dissenter is retired until repair().
-  detect::AlphaCount::Params ballot_alpha{};
   /// Beats a down member must deliver before it is auto-reinstated.  The
   /// beats must be consecutive: a missed window while down restarts the
   /// count (a flapping member has not demonstrated a heal).
@@ -204,25 +198,18 @@ class ReplicatedService {
 
   [[nodiscard]] net::Membership& membership() noexcept { return membership_; }
   [[nodiscard]] autonomic::ReflectiveSwitchboard& switchboard() noexcept {
-    return board_;
+    return organ_.board();
   }
-  [[nodiscard]] vote::VotingFarm& farm() noexcept { return farm_; }
+  [[nodiscard]] vote::VotingFarm& farm() noexcept { return organ_.farm(); }
+  [[nodiscard]] const autonomic::RestoringOrgan& organ() const noexcept {
+    return organ_;
+  }
   [[nodiscard]] const ClusterCounters& counters() const noexcept {
     return counters_;
   }
-  [[nodiscard]] const detect::FaultDiscriminator& ballot_discriminator()
-      const noexcept {
-    return ballot_disc_;
-  }
 
-  /// The sentinel ballot slot `slot` reports when its replica never
-  /// answered.  Distinct per slot, so missing replicas can never
-  /// accidentally agree into a majority.
-  [[nodiscard]] static constexpr vote::Ballot no_reply(
-      std::size_t slot) noexcept {
-    return std::numeric_limits<vote::Ballot>::min() +
-           static_cast<vote::Ballot>(slot);
-  }
+  /// The sentinel ballot of a slot whose replica never answered.
+  static constexpr auto no_reply = vote::no_reply;
 
  private:
   /// One replica node plus the coordinator's private channel to it.
@@ -241,7 +228,7 @@ class ReplicatedService {
     net::Endpoint replica;  ///< replica side: serves "compute", beats
     net::Endpoint coord;    ///< coordinator side: fans out calls
     std::optional<net::CircuitBreaker> breaker;
-    bool suspect = false;          ///< retired by the ballot discriminator
+    bool suspect = false;          ///< retired by the organ's judge
     std::uint32_t resumed_beats = 0;  ///< beats received while down
   };
 
@@ -280,19 +267,14 @@ class ReplicatedService {
   void shed(Done done, obs::EventId cause = obs::kNoEvent);
   void on_beat(std::size_t i);
   void on_member_change(const std::string& member, bool up);
-  void on_ballot_verdict(const std::string& channel,
-                         detect::FaultJudgment verdict);
-  [[nodiscard]] vote::Ballot slot_ballot(std::size_t slot) const;
 
   sim::Simulator& sim_;
   ClusterParams params_;
   Task task_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::map<std::string, std::size_t> index_;  ///< replica name -> pool index
-  vote::VotingFarm farm_;
-  autonomic::ReflectiveSwitchboard board_;
+  autonomic::RestoringOrgan organ_;
   net::Membership membership_;
-  detect::FaultDiscriminator ballot_disc_;
   Round round_;
   bool round_in_flight_ = false;
   util::RingQueue<Pending> queue_;

@@ -23,21 +23,21 @@ void FaultDiscriminator::publish_verdict(const std::string& channel,
   for (std::size_t i = 0; i < n; ++i) handlers_[i](channel, verdict);
 }
 
-void FaultDiscriminator::record(const std::string& channel, bool error) {
+bool FaultDiscriminator::record(const std::string& channel, bool error) {
   auto [it, inserted] = channels_.try_emplace(channel, params_);
   Channel& c = it->second;
   if (inserted) c.count.set_label(channel);
   c.count.record(error);
   const FaultJudgment now = c.count.judgment();
-  if (now != c.last) {
-    c.last = now;
-    publish_verdict(channel, now, c.count.score());
-  }
+  if (now == c.last) return false;
+  c.last = now;
+  publish_verdict(channel, now, c.count.score());
+  return true;
 }
 
-void FaultDiscriminator::reset_channel(const std::string& channel) {
+bool FaultDiscriminator::reset_channel(const std::string& channel) {
   const auto it = channels_.find(channel);
-  if (it == channels_.end()) return;
+  if (it == channels_.end()) return false;
   Channel& c = it->second;
   c.count.reset();
   // A reset is a unit replacement: if it moves the verdict (typically
@@ -46,10 +46,10 @@ void FaultDiscriminator::reset_channel(const std::string& channel) {
   // suspended the channel has to re-arm.  Silently updating the last
   // verdict here made replacements invisible to every subscriber.
   const FaultJudgment now = c.count.judgment();
-  if (now != c.last) {
-    c.last = now;
-    publish_verdict(channel, now, c.count.score());
-  }
+  if (now == c.last) return false;
+  c.last = now;
+  publish_verdict(channel, now, c.count.score());
+  return true;
 }
 
 FaultJudgment FaultDiscriminator::judgment(const std::string& channel) const {

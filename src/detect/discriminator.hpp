@@ -22,13 +22,15 @@ class FaultDiscriminator {
   explicit FaultDiscriminator(AlphaCount::Params params = AlphaCount::Params{});
 
   /// Feeds one judgment round for `channel` (creating it on first use).
-  /// Fires the handler when the channel's judgment changed.
-  void record(const std::string& channel, bool error);
+  /// Fires the handler when the channel's judgment changed, and returns
+  /// whether it did.
+  bool record(const std::string& channel, bool error);
 
   /// Replaces the faulty unit: resets the channel's score and verdict.
   /// A verdict moved by the reset fires the handlers exactly like a
-  /// record()-driven transition (subscribers must see the re-arm).
-  void reset_channel(const std::string& channel);
+  /// record()-driven transition (subscribers must see the re-arm), and is
+  /// returned the same way.
+  bool reset_channel(const std::string& channel);
 
   [[nodiscard]] FaultJudgment judgment(const std::string& channel) const;
   [[nodiscard]] double score(const std::string& channel) const;

@@ -253,7 +253,7 @@ constexpr unsigned syndrome_cascade(const hw::Word72& w) noexcept {
   u ^= u >> 4;
   u ^= u >> 2;
   u ^= u >> 1;
-  s |= (u & 1u) << 5;
+  s |= static_cast<unsigned>(u & 1u) << 5;
 
   u = z >> 16;  // s4
   z = (z ^ u) & 0xFFFFULL;
@@ -261,25 +261,25 @@ constexpr unsigned syndrome_cascade(const hw::Word72& w) noexcept {
   u ^= u >> 4;
   u ^= u >> 2;
   u ^= u >> 1;
-  s |= (u & 1u) << 4;
+  s |= static_cast<unsigned>(u & 1u) << 4;
 
   u = z >> 8;  // s3
   z = (z ^ u) & 0xFFULL;
   u ^= u >> 4;
   u ^= u >> 2;
   u ^= u >> 1;
-  s |= (u & 1u) << 3;
+  s |= static_cast<unsigned>(u & 1u) << 3;
 
   u = z >> 4;  // s2
   z = (z ^ u) & 0xFULL;
   u ^= u >> 2;
   u ^= u >> 1;
-  s |= (u & 1u) << 2;
+  s |= static_cast<unsigned>(u & 1u) << 2;
 
   u = z >> 2;  // s1
   z = (z ^ u) & 0x3ULL;
   u ^= u >> 1;
-  s |= (u & 1u) << 1;
+  s |= static_cast<unsigned>(u & 1u) << 1;
 
   s |= static_cast<unsigned>(z >> 1) & 1u;  // s0: odd positions
   // Residue = total parity of positions 1..71; add the overall-parity bit.

@@ -3,9 +3,8 @@
 // T that owns heap buffers (std::string members, InlineFn callbacks) keeps
 // its capacity across reuse and steady-state push/pop traffic is
 // allocation-free once the ring is warm.  This is what std::deque cannot
-// offer — its block map churns allocations as the queue breathes — and
-// util::RingBuffer deliberately does not (it evicts on overflow; a pending
-// queue must grow instead).
+// offer — its block map churns allocations as the queue breathes.  A
+// pending queue must grow rather than evict on overflow.
 //
 // T must be default-constructible and move-assignable.  Capacity grows by
 // doubling (powers of two, so the index wrap is a mask).

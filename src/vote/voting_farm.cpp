@@ -12,12 +12,15 @@ std::size_t round_up_to_odd(std::size_t n) noexcept {
 
 }  // namespace
 
+VotingFarm::VotingFarm(std::size_t replicas)
+    : replicas_(round_up_to_odd(replicas)) {}
+
 VotingFarm::VotingFarm(std::size_t replicas, Task task)
     : replicas_(round_up_to_odd(replicas)), task_(std::move(task)) {
   if (!task_) throw std::invalid_argument("VotingFarm: null task");
 }
 
-RoundReport VotingFarm::invoke(Ballot input) {
+inline RoundReport VotingFarm::close_round() {
   ++rounds_;
   if (obs::MetricsRegistry* reg = obs::metrics(); reg != nullptr) {
     const std::uint64_t t = reg->time();
@@ -28,6 +31,18 @@ RoundReport VotingFarm::invoke(Ballot input) {
     last_round_t_ = t;
     round_t_valid_ = true;
   }
+  const VoteOutcome outcome = majority_vote_inplace(scratch_);
+  RoundReport report;
+  report.n = replicas_;
+  report.dissent = outcome.dissent;
+  report.success = outcome.has_majority;
+  report.value = outcome.winner;
+  report.distance = dtof_of_outcome(outcome);
+  if (!report.success) ++failures_;
+  return report;
+}
+
+RoundReport VotingFarm::invoke(Ballot input) {
   // Hot path of the Fig. 6/7 experiment loops: both buffers are assigned in
   // place (resize reuses capacity across rounds and resizes), and each
   // ballot lands in the voting scratch as it is produced — no separate
@@ -40,17 +55,17 @@ RoundReport VotingFarm::invoke(Ballot input) {
     scratch_[r] = b;
     ++replica_invocations_;
   }
-  const VoteOutcome outcome = majority_vote_inplace(scratch_);
-  last_winner_ = outcome.winner;
+  return close_round();
+}
 
-  RoundReport report;
-  report.n = replicas_;
-  report.dissent = outcome.dissent;
-  report.success = outcome.has_majority;
-  report.value = outcome.winner;
-  report.distance = dtof_of_outcome(outcome);
-  if (!report.success) ++failures_;
-  return report;
+RoundReport VotingFarm::tally(std::span<const Ballot> collected) {
+  ballots_.resize(replicas_);
+  for (std::size_t r = 0; r < replicas_; ++r) {
+    ballots_[r] = r < collected.size() ? collected[r] : no_reply(r);
+  }
+  scratch_ = ballots_;
+  replica_invocations_ += replicas_;
+  return close_round();
 }
 
 void VotingFarm::resize(std::size_t replicas) {

@@ -13,6 +13,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -30,6 +32,12 @@ struct RoundReport {
   std::int64_t distance = 0;///< dtof(n, m), 0 on failure
 };
 
+/// The ballot slot `slot` casts when its replica never answered.  Distinct
+/// per slot, so missing replicas can never agree into a majority.
+[[nodiscard]] constexpr Ballot no_reply(std::size_t slot) noexcept {
+  return std::numeric_limits<Ballot>::min() + static_cast<Ballot>(slot);
+}
+
 class VotingFarm {
  public:
   /// The replicated method: computes the result for `replica` (0..n-1).
@@ -38,16 +46,22 @@ class VotingFarm {
   using Task = std::function<Ballot(Ballot input, std::size_t replica)>;
 
   VotingFarm(std::size_t replicas, Task task);
+  /// A farm of replicas that run elsewhere: it only tally()s collected
+  /// ballots, and invoke() on it throws std::bad_function_call.
+  explicit VotingFarm(std::size_t replicas);
 
   /// Runs one replicate-and-vote round.
   RoundReport invoke(Ballot input);
 
+  /// Votes collected ballots at the farm's arity *now*: slots beyond
+  /// `collected` (raised while collecting) vote their no_reply() sentinel.
+  RoundReport tally(std::span<const Ballot> collected);
+
   /// Per-replica ballots of the most recent round, indexed by replica id —
-  /// the input replica-health tracking needs to attribute dissent.
+  /// the input the restoring organ's judge scores dissent from.
   [[nodiscard]] const std::vector<Ballot>& last_ballots() const noexcept {
     return ballots_;
   }
-  [[nodiscard]] Ballot last_winner() const noexcept { return last_winner_; }
 
   /// Revises the degree of redundancy.  Enforces odd arity >= 1 (an even
   /// farm can deadlock in a tie, so the farm rounds up to the next odd).
@@ -64,6 +78,9 @@ class VotingFarm {
   [[nodiscard]] std::uint64_t resizes() const noexcept { return resizes_; }
 
  private:
+  /// The tail shared by invoke() and tally(): counts, times, votes scratch_.
+  RoundReport close_round();
+
   std::size_t replicas_;
   Task task_;
   std::uint64_t rounds_ = 0;
@@ -72,7 +89,6 @@ class VotingFarm {
   std::uint64_t resizes_ = 0;
   std::vector<Ballot> ballots_;  ///< last round, replica order
   std::vector<Ballot> scratch_;  ///< voting workspace (sorted in place)
-  Ballot last_winner_ = 0;
   // Round cadence on the obs logical clock ("vote.farm.round_gap"): invoke()
   // itself is synchronous, so the latency signal of the voting plane is the
   // spacing between consecutive rounds.

@@ -1,12 +1,10 @@
-// Tests for stateful components, checkpoint/rollback, and replica health
-// tracking (retirement).
+// Tests for stateful components and checkpoint/rollback.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "arch/stateful.hpp"
 #include "ftpat/checkpoint.hpp"
-#include "vote/health.hpp"
 
 namespace {
 
@@ -100,115 +98,6 @@ TEST(CheckpointTest, ExhaustionRestoresLastGoodState) {
   EXPECT_EQ(cr.exhaustions(), 1u);
   EXPECT_EQ(cr.rollbacks(), 4u);          // initial try + 3 retries, all undone
   EXPECT_EQ(acc->snapshot_state(), 10);   // state is still the checkpoint
-}
-
-// --- ReplicaHealthTracker ---------------------------------------------------------------
-
-TEST(ReplicaHealthTest, HealthyFarmNobodyRetirable) {
-  aft::vote::VotingFarm farm(5, [](aft::vote::Ballot in, std::size_t) { return in; });
-  aft::vote::ReplicaHealthTracker tracker;
-  for (int i = 0; i < 100; ++i) {
-    const auto report = farm.invoke(i);
-    tracker.observe(farm, report);
-  }
-  EXPECT_TRUE(tracker.retirable().empty());
-  EXPECT_EQ(tracker.slots_seen(), 5u);
-}
-
-TEST(ReplicaHealthTest, StuckReplicaIsIdentified) {
-  aft::vote::VotingFarm farm(5, [](aft::vote::Ballot in, std::size_t replica) {
-    return replica == 2 ? 0 : in + 1;  // slot 2 is wedged at 0
-  });
-  aft::vote::ReplicaHealthTracker tracker;
-  for (int i = 1; i < 20; ++i) tracker.observe(farm, farm.invoke(i));
-  const auto retirable = tracker.retirable();
-  ASSERT_EQ(retirable.size(), 1u);
-  EXPECT_EQ(retirable[0], 2u);
-  EXPECT_EQ(tracker.judgment(0), aft::detect::FaultJudgment::kNoEvidence);
-}
-
-TEST(ReplicaHealthTest, OccasionalUpsetStaysInService) {
-  aft::vote::VotingFarm farm(5, [](aft::vote::Ballot in, std::size_t replica) {
-    // Slot 4 diverges once every 50 rounds.
-    return (replica == 4 && in % 50 == 0) ? in + 100 : in;
-  });
-  aft::vote::ReplicaHealthTracker tracker;
-  for (int i = 0; i < 500; ++i) tracker.observe(farm, farm.invoke(i));
-  EXPECT_TRUE(tracker.retirable().empty());
-  EXPECT_EQ(tracker.judgment(4), aft::detect::FaultJudgment::kTransient);
-}
-
-TEST(ReplicaHealthTest, FailedRoundsAttributeNothing) {
-  // Every replica answers differently: no majority, no attribution.
-  aft::vote::VotingFarm farm(3, [](aft::vote::Ballot in, std::size_t replica) {
-    return in + static_cast<aft::vote::Ballot>(replica);
-  });
-  aft::vote::ReplicaHealthTracker tracker;
-  for (int i = 0; i < 50; ++i) tracker.observe(farm, farm.invoke(i));
-  EXPECT_EQ(tracker.slots_seen(), 0u);
-  EXPECT_TRUE(tracker.retirable().empty());
-}
-
-TEST(ReplicaHealthTest, RepairRestartsHistory) {
-  bool broken = true;
-  aft::vote::VotingFarm farm(3, [&](aft::vote::Ballot in, std::size_t replica) {
-    return (replica == 0 && broken) ? -1 : in;
-  });
-  aft::vote::ReplicaHealthTracker tracker;
-  for (int i = 1; i < 10; ++i) tracker.observe(farm, farm.invoke(i));
-  ASSERT_EQ(tracker.retirable(), std::vector<std::size_t>{0});
-  broken = false;  // physical replacement
-  tracker.mark_repaired(0);
-  for (int i = 1; i < 10; ++i) tracker.observe(farm, farm.invoke(i));
-  EXPECT_TRUE(tracker.retirable().empty());
-}
-
-TEST(ReplicaHealthTest, FarmShrinkRetiresStaleSlotChannels) {
-  // Regression: slots_seen_ only ever grew, so after a farm shrink
-  // retirable() kept reporting slot indices that no longer existed — and a
-  // later re-grow handed the departed unit's error history to whatever new
-  // unit landed in that slot.
-  bool broken = true;
-  aft::vote::VotingFarm farm(7, [&](aft::vote::Ballot in, std::size_t replica) {
-    return (replica == 5 && broken) ? -1 : in;
-  });
-  aft::vote::ReplicaHealthTracker tracker;
-  for (int i = 1; i < 10; ++i) tracker.observe(farm, farm.invoke(i));
-  ASSERT_EQ(tracker.retirable(), std::vector<std::size_t>{5});
-  EXPECT_EQ(tracker.slots_seen(), 7u);
-
-  farm.resize(3);
-  tracker.observe(farm, farm.invoke(10));
-  EXPECT_EQ(tracker.slots_seen(), 3u);
-  EXPECT_TRUE(tracker.retirable().empty());
-
-  // Re-grow with a repaired unit in slot 5: no inherited history.
-  broken = false;
-  farm.resize(7);
-  tracker.observe(farm, farm.invoke(11));
-  EXPECT_EQ(tracker.slots_seen(), 7u);
-  EXPECT_TRUE(tracker.retirable().empty());
-}
-
-TEST(ReplicaHealthTest, ShrinkIsTrackedEvenOnNoMajorityRounds) {
-  // The arity bookkeeping must run before the no-ground-truth early-out:
-  // a shrink followed only by failed rounds still retires the stale slots.
-  bool scatter = false;
-  aft::vote::VotingFarm farm(5, [&](aft::vote::Ballot in, std::size_t replica) {
-    if (scatter) return in + static_cast<aft::vote::Ballot>(replica);
-    return replica == 4 ? aft::vote::Ballot{-1} : in;
-  });
-  aft::vote::ReplicaHealthTracker tracker;
-  for (int i = 1; i < 10; ++i) tracker.observe(farm, farm.invoke(i));
-  ASSERT_EQ(tracker.retirable(), std::vector<std::size_t>{4});
-
-  farm.resize(3);
-  scatter = true;  // every ballot now differs: no majority
-  const auto report = farm.invoke(50);
-  ASSERT_FALSE(report.success);
-  tracker.observe(farm, report);
-  EXPECT_EQ(tracker.slots_seen(), 3u);
-  EXPECT_TRUE(tracker.retirable().empty());
 }
 
 }  // namespace

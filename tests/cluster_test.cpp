@@ -176,7 +176,7 @@ TEST(ClusterTest, NoQuorumWhenTheMajorityIsPartitioned) {
       reports.push_back(r);
     });
   });
-  sim.run_until(200);
+  sim.run_until(400);
 
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_FALSE(reports[0].success);
@@ -321,6 +321,72 @@ TEST(ClusterTest, PersistentValueCorrupterIsSuspectedUntilRepaired) {
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_TRUE(reports[0].success);
   EXPECT_EQ(reports[0].value, correct_value(7));
+}
+
+TEST(ClusterTest, MidRoundRaiseVotesTheRaisedArityWithSentinels) {
+  // Replica 2's request wire is slow, so the first round stays in flight
+  // for ~100 ticks.  Meanwhile spare replica 4 stops beating: its eviction
+  // (three missed 10-tick windows) raises the arity 3 -> 5 before the
+  // round finalizes.  The round votes
+  // the raised arity, the two slots it never collected vote their
+  // sentinels, and the farm counts one ballot per voted slot.
+  Simulator sim;
+  ClusterParams params = small_params(5);
+  params.call.deadline = 300;
+  params.call.retry.max_attempts = 1;
+  ReplicatedService service(
+      sim, params,
+      [](Ballot input, std::size_t) { return correct_value(input); }, 23);
+  service.start();
+  LinkFaults slow = quiet_wire();
+  slow.latency = 100;
+  slow.jitter = 0;
+  service.link_to(2).set_faults(slow);
+
+  std::vector<RoundReport> reports;
+  std::size_t arity_at_invoke = 0;
+  std::vector<Ballot> voted;
+  auto record = [&reports, &voted, &service](InvokeOutcome,
+                                             const RoundReport& r) {
+    reports.push_back(r);
+    voted = service.farm().last_ballots();
+  };
+  sim.schedule_at(20, [&] {
+    arity_at_invoke = service.farm().replicas();
+    service.invoke(5, record);
+  });
+  sim.schedule_at(21, [&service] { service.link_from(4).partition(); });
+  sim.run_until(400);
+
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(arity_at_invoke, 3u);
+  EXPECT_EQ(service.counters().evictions, 1u);
+  EXPECT_EQ(service.switchboard().disturbance_raises(), 1u);
+  const RoundReport& r = reports[0];
+  EXPECT_EQ(r.n, 5u);
+  EXPECT_TRUE(r.success);
+  EXPECT_EQ(r.value, correct_value(5));
+  EXPECT_EQ(r.dissent, 2u);
+  ASSERT_EQ(voted.size(), 5u);
+  for (std::size_t slot = 0; slot < 3; ++slot) {
+    EXPECT_EQ(voted[slot], correct_value(5));
+  }
+  EXPECT_EQ(voted[3], ReplicatedService::no_reply(3));
+  EXPECT_EQ(voted[4], ReplicatedService::no_reply(4));
+  // Neither sentinel slot was assigned, so nobody was judged for it.
+  EXPECT_EQ(service.counters().suspects, 0u);
+
+  // A later round at the raised arity, short one live replica.
+  sim.schedule_at(sim.now() + 1, [&] { service.invoke(6, record); });
+  sim.run_until(sim.now() + 400);
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[1].n, 5u);
+  EXPECT_EQ(service.counters().short_rounds, 1u);
+
+  std::uint64_t ballots = 0;
+  for (const RoundReport& report : reports) ballots += report.n;
+  EXPECT_EQ(service.farm().replica_invocations(), ballots);
+  EXPECT_EQ(service.farm().rounds(), service.counters().rounds);
 }
 
 // --- Campaign determinism ------------------------------------------------------

@@ -10,14 +10,11 @@
 #include <utility>
 #include <vector>
 
-#include "sim/processes.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
-using aft::sim::GilbertElliott;
-using aft::sim::PoissonProcess;
 using aft::sim::SimTime;
 using aft::sim::Simulator;
 
@@ -457,82 +454,5 @@ TEST(SimulatorDifferentialTest, TierMixMatchesPriorityQueueModel) {
 }
 
 }  // namespace differential
-
-// --- PoissonProcess ---------------------------------------------------------
-
-TEST(PoissonProcessTest, ZeroRateNeverFires) {
-  PoissonProcess p(0.0, 1);
-  for (int i = 0; i < 100; ++i) EXPECT_FALSE(p.fires_this_tick());
-  EXPECT_GT(p.next_gap(), std::uint64_t{1} << 62);
-}
-
-TEST(PoissonProcessTest, MeanGapApproximatesInverseRate) {
-  PoissonProcess p(0.01, 77);
-  double total = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) total += static_cast<double>(p.next_gap());
-  EXPECT_NEAR(total / n, 100.0, 5.0);
-}
-
-TEST(PoissonProcessTest, GapIsAtLeastOne) {
-  PoissonProcess p(100.0, 3);  // very high rate
-  for (int i = 0; i < 1000; ++i) EXPECT_GE(p.next_gap(), 1u);
-}
-
-TEST(PoissonProcessTest, PerTickFrequencyMatchesRate) {
-  PoissonProcess p(0.05, 123);
-  int fires = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    if (p.fires_this_tick()) ++fires;
-  }
-  // P(fire) = 1 - e^-0.05 ~ 0.04877
-  EXPECT_NEAR(static_cast<double>(fires) / n, 0.0488, 0.005);
-}
-
-// --- GilbertElliott ----------------------------------------------------------
-
-TEST(GilbertElliottTest, StartsGood) {
-  GilbertElliott ge(GilbertElliott::Params{}, 5);
-  EXPECT_FALSE(ge.in_bad_state());
-}
-
-TEST(GilbertElliottTest, GoodStateRespectsLowRate) {
-  GilbertElliott::Params params;
-  params.p_good = 0.0;
-  params.g2b = 0.0;  // never leaves Good
-  GilbertElliott ge(params, 7);
-  for (int i = 0; i < 10000; ++i) EXPECT_FALSE(ge.tick());
-}
-
-TEST(GilbertElliottTest, BadStateBursts) {
-  GilbertElliott::Params params;
-  params.p_good = 0.0;
-  params.p_bad = 0.9;
-  params.b2g = 0.0;  // stays bad forever once forced
-  GilbertElliott ge(params, 9);
-  ge.force_state(true);
-  int events = 0;
-  const int n = 10000;
-  for (int i = 0; i < n; ++i) {
-    if (ge.tick()) ++events;
-  }
-  EXPECT_NEAR(static_cast<double>(events) / n, 0.9, 0.02);
-}
-
-TEST(GilbertElliottTest, TransitionsBetweenStates) {
-  GilbertElliott::Params params;
-  params.g2b = 0.01;
-  params.b2g = 0.1;
-  GilbertElliott ge(params, 11);
-  int bad_ticks = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    ge.tick();
-    if (ge.in_bad_state()) ++bad_ticks;
-  }
-  // Stationary P(bad) = g2b / (g2b + b2g) = 1/11 ~ 0.0909
-  EXPECT_NEAR(static_cast<double>(bad_ticks) / n, 0.0909, 0.02);
-}
 
 }  // namespace

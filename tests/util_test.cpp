@@ -12,7 +12,6 @@
 
 #include "util/histogram.hpp"
 #include "util/log_histogram.hpp"
-#include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -21,7 +20,6 @@ namespace {
 
 using aft::util::Histogram;
 using aft::util::LogHistogram;
-using aft::util::RingBuffer;
 using aft::util::RunningStats;
 using aft::util::SplitMix64;
 using aft::util::TextTable;
@@ -297,43 +295,6 @@ TEST(RunningStatsTest, MergeWithEmpty) {
   b.merge(a);
   EXPECT_EQ(b.count(), 2u);
   EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
-// --- RingBuffer --------------------------------------------------------------
-
-TEST(RingBufferTest, RejectsZeroCapacity) {
-  EXPECT_THROW(RingBuffer<int>(0), std::invalid_argument);
-}
-
-TEST(RingBufferTest, FillsAndEvicts) {
-  RingBuffer<int> rb(3);
-  EXPECT_TRUE(rb.empty());
-  rb.push(1);
-  rb.push(2);
-  rb.push(3);
-  EXPECT_TRUE(rb.full());
-  rb.push(4);  // evicts 1
-  EXPECT_EQ(rb.size(), 3u);
-  EXPECT_EQ(rb.recent(0), 4);
-  EXPECT_EQ(rb.recent(1), 3);
-  EXPECT_EQ(rb.recent(2), 2);
-  EXPECT_EQ(rb.oldest(), 2);
-}
-
-TEST(RingBufferTest, RecentOutOfRangeThrows) {
-  RingBuffer<int> rb(2);
-  rb.push(1);
-  EXPECT_THROW((void)rb.recent(1), std::out_of_range);
-}
-
-TEST(RingBufferTest, ClearResets) {
-  RingBuffer<int> rb(2);
-  rb.push(1);
-  rb.push(2);
-  rb.clear();
-  EXPECT_TRUE(rb.empty());
-  rb.push(9);
-  EXPECT_EQ(rb.recent(0), 9);
 }
 
 // --- TextTable ----------------------------------------------------------------
