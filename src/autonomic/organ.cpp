@@ -1,5 +1,7 @@
 #include "autonomic/organ.hpp"
 
+#include <string>
+
 namespace aft::autonomic {
 
 RestoringOrgan::RestoringOrgan(std::size_t replicas, vote::VotingFarm::Task task,
@@ -9,15 +11,15 @@ RestoringOrgan::RestoringOrgan(std::size_t replicas, vote::VotingFarm::Task task
                  : vote::VotingFarm(replicas)),
       board_(farm_, policy, shared_key) {}
 
-const std::string& RestoringOrgan::channel(std::size_t unit) {
-  while (channels_.size() <= unit) {
-    channels_.push_back("replica-" + std::to_string(channels_.size()));
+detect::ChannelId RestoringOrgan::channel(std::size_t unit) {
+  while (judge_.channel_count() <= unit) {
+    judge_.add("replica-" + std::to_string(judge_.channel_count()));
   }
-  return channels_[unit];
+  return unit;
 }
 
 void RestoringOrgan::notify(std::size_t unit, bool moved) {
-  if (moved && hook_) hook_(unit, judge_.judgment(channels_[unit]));
+  if (moved && hook_) hook_(unit, judge_.judgment(unit));
 }
 
 void RestoringOrgan::settle(const vote::RoundReport& report,
@@ -33,12 +35,12 @@ void RestoringOrgan::settle(const vote::RoundReport& report,
 }
 
 void RestoringOrgan::reset(std::size_t unit) {
-  notify(unit, judge_.reset_channel(channel(unit)));
+  notify(unit, judge_.reset(channel(unit)));
 }
 
 detect::FaultJudgment RestoringOrgan::judgment(std::size_t unit) const {
-  return unit < channels_.size() ? judge_.judgment(channels_[unit])
-                                 : detect::FaultJudgment::kNoEvidence;
+  return unit < judge_.channel_count() ? judge_.judgment(unit)
+                                       : detect::FaultJudgment::kNoEvidence;
 }
 
 }  // namespace aft::autonomic

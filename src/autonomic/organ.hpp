@@ -8,17 +8,16 @@
 // a verdict (AutonomicReplicationService maps in a spare unit,
 // cluster::ReplicatedService suspects the node until repair()).
 //
-// Judge channels are keyed by unit, as "replica-<unit>": a replaced unit
-// starts with a clean history, and a unit keeps its history across a
-// shrink and regrow of the farm.
+// Judge channels are keyed by unit: unit u is the judge's channel u, named
+// "replica-<u>" when the organ first sees it.  A replaced unit starts with
+// a clean history, and a unit keeps its history across a shrink and regrow
+// of the farm.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <string>
-#include <vector>
 
 #include "autonomic/switchboard.hpp"
 #include "detect/discriminator.hpp"
@@ -58,12 +57,11 @@ class RestoringOrgan {
 
  private:
   void notify(std::size_t unit, bool moved);  ///< hook, if the verdict moved
-  const std::string& channel(std::size_t unit);  ///< formatted once per unit
+  detect::ChannelId channel(std::size_t unit);  ///< registers units up to `unit`
 
   vote::VotingFarm farm_;
   ReflectiveSwitchboard board_;
   detect::FaultDiscriminator judge_;
-  std::vector<std::string> channels_;
   VerdictHook hook_;
 };
 

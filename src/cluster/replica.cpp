@@ -1,24 +1,14 @@
 #include "cluster/replica.hpp"
 
-#include <cerrno>
-#include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/obs.hpp"
+#include "vote/voter.hpp"
 
 namespace aft::cluster {
 namespace {
-
-/// Ballots travel as decimal strings (the RPC plane carries opaque string
-/// payloads).  Anything unparsable keeps the slot's no-reply sentinel.
-vote::Ballot parse_ballot(const std::string& text, bool& ok) {
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  ok = end != text.c_str() && end != nullptr && *end == '\0' && errno == 0;
-  return static_cast<vote::Ballot>(value);
-}
 
 /// The report a shed invoke's Done receives: nothing ran, nothing voted.
 const vote::RoundReport kShedReport{};
@@ -50,6 +40,9 @@ ReplicatedService::ReplicatedService(sim::Simulator& sim, ClusterParams params,
     throw std::invalid_argument(
         "ReplicatedService: pool smaller than policy.min_replicas");
   }
+  if (params_.pool > kMaxPool) {
+    throw std::invalid_argument("ReplicatedService: pool larger than kMaxPool");
+  }
   nodes_.reserve(params_.pool);
   for (std::size_t i = 0; i < params_.pool; ++i) {
     // 8 seeds of headroom per node: links draw 2, endpoints draw 2.
@@ -62,36 +55,28 @@ ReplicatedService::ReplicatedService(sim::Simulator& sim, ClusterParams params,
     node->coord.attach(node->from, node->to);
     node->replica.serve(
         "compute", [this, i](const std::string& request, std::string& response) {
-          bool ok = false;
-          const vote::Ballot input = parse_ballot(request, ok);
-          if (!ok) return false;
-          response = std::to_string(task_(input, i));
+          const std::optional<vote::Ballot> input = vote::parse_ballot(request);
+          if (!input) return false;
+          response = std::to_string(task_(*input, i));
           return true;
         });
     node->coord.on_heartbeat([this, i](const std::string&) { on_beat(i); });
-    index_[node->name] = i;
     nodes_.push_back(std::move(node));
   }
   // Post-mortem evidence join: a member-down record's cause is the last
   // heartbeat frame the member's return wire ate, so `aft_trace why` walks
   // a raise back to the physical loss.
-  membership_.set_down_evidence([this](const std::string& member) {
-    const auto it = index_.find(member);
-    if (it == index_.end()) return obs::kNoEvent;
-    return nodes_[it->second]->from.last_drop_event(net::FrameKind::kHeartbeat);
+  membership_.set_down_evidence([this](std::size_t i) {
+    return nodes_[i]->from.last_drop_event(net::FrameKind::kHeartbeat);
   });
-  membership_.on_change([this](const std::string& member, bool up) {
-    on_member_change(member, up);
-  });
+  membership_.on_change([this](std::size_t i, bool up) { on_member_change(i, up); });
   // A missed window while down restarts the heal count: reinstatement
   // demands `reinstate_after_beats` *consecutive* beats, so a flapping
   // member (N-1 beats, a miss, more beats) starts over from zero instead
   // of carrying stale credit across the gap.
-  membership_.on_miss([this](const std::string& member, std::uint64_t) {
-    const auto it = index_.find(member);
-    if (it == index_.end()) return;
-    Node& node = *nodes_[it->second];
-    if (node.resumed_beats > 0 && !membership_.up(node.name)) {
+  membership_.on_miss([this](std::size_t i, std::uint64_t) {
+    Node& node = *nodes_[i];
+    if (node.resumed_beats > 0 && !membership_.up(i)) {
       AFT_TRACE("cluster.replica", "heal-reset",
                 {{"replica", node.name}, {"beats", node.resumed_beats}});
       node.resumed_beats = 0;
@@ -122,6 +107,7 @@ void ReplicatedService::start() {
   started_ = true;
   AFT_TRACE("cluster.coordinator", "start",
             {{"pool", nodes_.size()}, {"arity", organ_.farm().replicas()}});
+  // Tracked in pool order, so a member id is its pool index.
   for (const auto& node : nodes_) membership_.track(node->name);
   for (const auto& node : nodes_) {
     node->replica.start_heartbeats(params_.heartbeat_period);
@@ -129,8 +115,7 @@ void ReplicatedService::start() {
 }
 
 bool ReplicatedService::eligible(std::size_t i) const {
-  const Node& node = *nodes_.at(i);
-  return !node.suspect && membership_.up(node.name);
+  return !nodes_.at(i)->suspect && membership_.up(i);
 }
 
 std::size_t ReplicatedService::live_count() const {
@@ -263,7 +248,8 @@ void ReplicatedService::begin_round(vote::Ballot input, Done done) {
       // Pack (round, slot, node) into one word so the capture fits
       // std::function's 16-byte inline buffer: the fan-out is the traffic
       // plane's per-request hot path and must not allocate per call.
-      // 40/12/12 bits bound nothing real (pools are tens, not thousands).
+      // 40/12/12 bits: the constructor bounds the pool (so node and slot)
+      // by kMaxPool = 2^12.
       const std::uint64_t tag = (r.id << 24) |
                                 (static_cast<std::uint64_t>(slot) << 12) |
                                 static_cast<std::uint64_t>(node);
@@ -286,10 +272,9 @@ void ReplicatedService::on_reply(std::uint64_t round, std::size_t slot,
   // the loop kept placing.
   if (!round_in_flight_ || round != round_.id) return;
   if (result.status == net::RpcStatus::kOk) {
-    bool ok = false;
-    const vote::Ballot ballot = parse_ballot(result.payload, ok);
-    if (ok) {
-      round_.ballots[slot] = ballot;
+    // An unparsable reply keeps the slot's no-reply sentinel.
+    if (const std::optional<vote::Ballot> ballot = vote::parse_ballot(result.payload)) {
+      round_.ballots[slot] = *ballot;
     } else {
       ++counters_.rpc_failures;
     }
@@ -346,9 +331,9 @@ void ReplicatedService::finalize_round() {
 }
 
 void ReplicatedService::on_beat(std::size_t i) {
+  membership_.beat(i);
+  if (membership_.up(i)) return;
   Node& node = *nodes_[i];
-  membership_.beat(node.name);
-  if (membership_.up(node.name)) return;
   // Beats arriving from a down member are themselves the heal evidence:
   // after enough of them, administratively reinstate it (the Sect. 3.2
   // unit-replacement treatment, triggered by observation instead of an
@@ -356,19 +341,17 @@ void ReplicatedService::on_beat(std::size_t i) {
   if (++node.resumed_beats >= params_.reinstate_after_beats) {
     AFT_TRACE("cluster.replica", "auto-reinstate",
               {{"replica", node.name}, {"beats", node.resumed_beats}});
-    membership_.reinstate(node.name);  // -> member-up -> on_member_change
+    membership_.reinstate(i);  // -> member-up -> on_member_change
   }
 }
 
-void ReplicatedService::on_member_change(const std::string& member, bool up) {
-  const auto it = index_.find(member);
-  if (it == index_.end()) return;
-  Node& node = *nodes_[it->second];
+void ReplicatedService::on_member_change(std::size_t i, bool up) {
+  Node& node = *nodes_[i];
   node.resumed_beats = 0;
   if (up) {
     ++counters_.reinstatements;
     AFT_METRIC_ADD("cluster.reinstatements", 1);
-    AFT_TRACE("cluster.replica", "rejoin", {{"replica", member}});
+    AFT_TRACE("cluster.replica", "rejoin", {{"replica", node.name}});
     return;
   }
   ++counters_.evictions;
@@ -377,18 +360,18 @@ void ReplicatedService::on_member_change(const std::string& member, bool up) {
   // (installed by Membership during handler fan-out) and becomes, in turn,
   // the cause of the disturbance/raise it pushes to the switchboard.
   const obs::CauseScope cause("cluster.replica", "evict",
-                              {{"replica", member}});
+                              {{"replica", node.name}});
   organ_.board().notify_disturbance("member-down");
 }
 
 void ReplicatedService::repair(std::size_t i) {
-  Node& node = *nodes_.at(i);
+  [[maybe_unused]] const Node& node = *nodes_.at(i);  // bounds-checks `i`
   AFT_TRACE("cluster.replica", "repair", {{"replica", node.name}});
   // Unit replacement: fresh ballot evidence (the reset's verdict change
   // clears the suspect flag via the verdict hook) and, if the member was
   // evicted, a membership reinstate.
   organ_.reset(i);
-  if (started_ && !membership_.up(node.name)) membership_.reinstate(node.name);
+  if (started_ && !membership_.up(i)) membership_.reinstate(i);
 }
 
 }  // namespace aft::cluster

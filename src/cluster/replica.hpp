@@ -15,10 +15,12 @@
 //               ballot stream whose persistent dissenters this front-end
 //               retires ("suspect") until repair().
 //   liveness    replicas heartbeat the coordinator; net::Membership turns
-//               miss patterns into evict/reinstate transitions.  A member
-//               that resumes beating is auto-reinstated after
-//               `reinstate_after_beats` beats — arriving beats ARE the
-//               evidence the unit healed.
+//               miss patterns into evict/reinstate transitions.  The
+//               pool is tracked in order, so a member id is the pool
+//               index and each replica's heartbeat handler credits its
+//               own id.  A member that resumes beating is auto-reinstated
+//               after `reinstate_after_beats` beats — arriving beats ARE
+//               the evidence the unit healed.
 //   adaptation  every round report flows into the
 //               autonomic::ReflectiveSwitchboard (dissent raises, calm
 //               lowers), and every eviction is pushed to it as an external
@@ -42,7 +44,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -89,7 +90,8 @@ struct AdmissionParams {
 
 struct ClusterParams {
   /// Replica nodes provisioned.  The switchboard works the live subset:
-  /// keep pool >= policy.max_replicas so a raise always has spares.
+  /// keep pool >= policy.max_replicas so a raise always has spares.  At
+  /// most ReplicatedService::kMaxPool.
   std::size_t pool = 9;
   /// Wire model every replica starts with; experiments degrade individual
   /// links afterwards via link_to()/link_from() + set_faults()/partition().
@@ -150,6 +152,9 @@ class ReplicatedService {
   /// callers' captures (a net::Endpoint::Responder, a couple of pointers)
   /// must fit 64 bytes, same contract as the sim kernel's actions.
   using Done = util::InlineFn<void(InvokeOutcome, const vote::RoundReport&), 64>;
+
+  /// Largest pool: a fan-out reply is tagged with its node index in 12 bits.
+  static constexpr std::size_t kMaxPool = std::size_t{1} << 12;
 
   ReplicatedService(sim::Simulator& sim, ClusterParams params, Task task,
                     std::uint64_t seed);
@@ -266,13 +271,13 @@ class ReplicatedService {
   /// synchronous sheds inherit the ambient (caller's) cause instead.
   void shed(Done done, obs::EventId cause = obs::kNoEvent);
   void on_beat(std::size_t i);
-  void on_member_change(const std::string& member, bool up);
+  void on_member_change(std::size_t i, bool up);
 
   sim::Simulator& sim_;
   ClusterParams params_;
   Task task_;
+  /// Pool index = membership id (start() tracks the pool in order).
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::map<std::string, std::size_t> index_;  ///< replica name -> pool index
   autonomic::RestoringOrgan organ_;
   net::Membership membership_;
   Round round_;

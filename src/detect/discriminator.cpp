@@ -7,12 +7,16 @@ namespace aft::detect {
 FaultDiscriminator::FaultDiscriminator(AlphaCount::Params params)
     : params_(params) {}
 
-void FaultDiscriminator::publish_verdict(const std::string& channel,
-                                         FaultJudgment verdict,
+ChannelId FaultDiscriminator::add(std::string name) {
+  channels_.emplace_back(params_).count.set_label(std::move(name));
+  return channels_.size() - 1;
+}
+
+void FaultDiscriminator::publish_verdict(ChannelId channel, FaultJudgment verdict,
                                          [[maybe_unused]] double score) {
   AFT_METRIC_ADD("detect.discriminator.verdict_changes", 1);
   AFT_TRACE("detect.discriminator", "verdict",
-            {{"channel", channel},
+            {{"channel", name(channel)},
              {"judgment", to_string(verdict)},
              {"score", score}});
   // Index loop, not range-for: a handler may call on_verdict_change()
@@ -23,10 +27,9 @@ void FaultDiscriminator::publish_verdict(const std::string& channel,
   for (std::size_t i = 0; i < n; ++i) handlers_[i](channel, verdict);
 }
 
-bool FaultDiscriminator::record(const std::string& channel, bool error) {
-  auto [it, inserted] = channels_.try_emplace(channel, params_);
-  Channel& c = it->second;
-  if (inserted) c.count.set_label(channel);
+bool FaultDiscriminator::record(ChannelId channel, bool error) {
+  Channel& c = channels_.at(channel);
+  c.recorded = true;
   c.count.record(error);
   const FaultJudgment now = c.count.judgment();
   if (now == c.last) return false;
@@ -35,10 +38,9 @@ bool FaultDiscriminator::record(const std::string& channel, bool error) {
   return true;
 }
 
-bool FaultDiscriminator::reset_channel(const std::string& channel) {
-  const auto it = channels_.find(channel);
-  if (it == channels_.end()) return false;
-  Channel& c = it->second;
+bool FaultDiscriminator::reset(ChannelId channel) {
+  Channel& c = channels_.at(channel);
+  if (!c.recorded) return false;
   c.count.reset();
   // A reset is a unit replacement: if it moves the verdict (typically
   // kPermanentOrIntermittent -> kNoEvidence), subscribers must hear about
@@ -50,17 +52,6 @@ bool FaultDiscriminator::reset_channel(const std::string& channel) {
   c.last = now;
   publish_verdict(channel, now, c.count.score());
   return true;
-}
-
-FaultJudgment FaultDiscriminator::judgment(const std::string& channel) const {
-  const auto it = channels_.find(channel);
-  return it == channels_.end() ? FaultJudgment::kNoEvidence
-                               : it->second.count.judgment();
-}
-
-double FaultDiscriminator::score(const std::string& channel) const {
-  const auto it = channels_.find(channel);
-  return it == channels_.end() ? 0.0 : it->second.count.score();
 }
 
 void FaultDiscriminator::on_verdict_change(VerdictHandler handler) {

@@ -10,62 +10,54 @@ HeartbeatMonitor::HeartbeatMonitor(sim::Simulator& sim,
                                    FaultDiscriminator& discriminator)
     : sim_(sim), discriminator_(discriminator) {}
 
-void HeartbeatMonitor::watch(const std::string& channel, sim::SimTime deadline) {
+ChannelId HeartbeatMonitor::watch(std::string name, sim::SimTime deadline) {
   if (deadline == 0) {
     throw std::invalid_argument("HeartbeatMonitor: deadline must be > 0");
   }
-  auto [it, inserted] = channels_.try_emplace(channel);
-  if (!inserted && it->second.active) {
-    throw std::invalid_argument("HeartbeatMonitor: channel '" + channel +
-                                "' already watched");
+  const ChannelId channel = discriminator_.add(std::move(name));
+  if (channel >= channels_.size()) channels_.resize(channel + 1);
+  watch(channel, deadline);
+  return channel;
+}
+
+void HeartbeatMonitor::watch(ChannelId channel, sim::SimTime deadline) {
+  if (deadline == 0) {
+    throw std::invalid_argument("HeartbeatMonitor: deadline must be > 0");
+  }
+  Channel& ch = channels_.at(channel);
+  if (ch.active) {
+    throw std::invalid_argument("HeartbeatMonitor: channel already watched");
   }
   // Bump the epoch so a check chain left pending by an earlier
   // watch()/unwatch() of this channel dies instead of running alongside
   // the fresh one (which would double-count every subsequent window).
-  const std::uint64_t epoch = it->second.epoch + 1;
-  it->second = Channel{deadline, false, true, epoch, 0};
+  const std::uint64_t epoch = ch.epoch + 1;
+  ch = Channel{deadline, false, true, epoch, 0};
   AFT_TRACE("detect.heartbeat", "watch",
-            {{"channel", channel}, {"deadline", deadline}});
-  // The widest in-tree continuation (this + std::string + epoch = 48 bytes):
-  // the kernel's 64-byte inline budget is sized to keep exactly this shape
-  // off the heap.  The init-capture matters: a plain copy capture of the
-  // `const std::string&` parameter would make the member const, turning the
-  // closure's move into a throwing string copy (and the storage heap-bound).
-  auto chain = [this, channel = channel, epoch] { check(channel, epoch); };
+            {{"channel", discriminator_.name(channel)}, {"deadline", deadline}});
+  schedule_check(channel, epoch, deadline);
+}
+
+void HeartbeatMonitor::beat(ChannelId channel) {
+  if (!watching(channel)) {
+    throw std::invalid_argument("HeartbeatMonitor: beat on unwatched channel");
+  }
+  channels_[channel].beaten = true;
+}
+
+void HeartbeatMonitor::schedule_check(ChannelId channel, std::uint64_t epoch,
+                                      sim::SimTime delay) {
+  // {this, id, epoch} = 24 bytes and no name: the continuation fits the
+  // kernel's inline budget whatever the channel names, so no window allocates.
+  auto chain = [this, channel, epoch] { check(channel, epoch); };
   static_assert(sim::Simulator::fits_inline<decltype(chain)>,
                 "heartbeat check chain must schedule allocation-free");
-  sim_.schedule_in(deadline, std::move(chain));
+  sim_.schedule_in(delay, std::move(chain));
 }
 
-void HeartbeatMonitor::beat(const std::string& channel) {
-  const auto it = channels_.find(channel);
-  if (it == channels_.end() || !it->second.active) {
-    throw std::invalid_argument("HeartbeatMonitor: beat on unknown channel '" +
-                                channel + "'");
-  }
-  it->second.beaten = true;
-}
-
-void HeartbeatMonitor::unwatch(const std::string& channel) {
-  const auto it = channels_.find(channel);
-  if (it != channels_.end()) it->second.active = false;
-}
-
-bool HeartbeatMonitor::watching(const std::string& channel) const {
-  const auto it = channels_.find(channel);
-  return it != channels_.end() && it->second.active;
-}
-
-std::uint64_t HeartbeatMonitor::consecutive_misses(const std::string& channel) const {
-  const auto it = channels_.find(channel);
-  return it == channels_.end() ? 0 : it->second.consecutive_misses;
-}
-
-void HeartbeatMonitor::check(const std::string& channel, std::uint64_t epoch) {
-  const auto it = channels_.find(channel);
-  if (it == channels_.end() || !it->second.active) return;
-  Channel& ch = it->second;
-  if (epoch != ch.epoch) return;  // superseded by a later watch()
+void HeartbeatMonitor::check(ChannelId channel, std::uint64_t epoch) {
+  Channel& ch = channels_[channel];
+  if (!ch.active || epoch != ch.epoch) return;  // unwatched or superseded
   const bool missed = !ch.beaten;
   ch.beaten = false;
   if (missed) {
@@ -73,7 +65,7 @@ void HeartbeatMonitor::check(const std::string& channel, std::uint64_t epoch) {
     ++ch.consecutive_misses;
     AFT_METRIC_ADD("detect.heartbeat.misses", 1);
     AFT_TRACE("detect.heartbeat", "miss",
-              {{"channel", channel},
+              {{"channel", discriminator_.name(channel)},
                {"consecutive", ch.consecutive_misses}});
     if (on_missed_) on_missed_(channel, ch.consecutive_misses);
   } else {
@@ -81,11 +73,7 @@ void HeartbeatMonitor::check(const std::string& channel, std::uint64_t epoch) {
   }
   // Every window is one alpha-count judgment round for this channel.
   discriminator_.record(channel, missed);
-  // Same init-capture shape start()'s static_assert pins down.
-  auto chain = [this, channel = channel, epoch] { check(channel, epoch); };
-  static_assert(sim::Simulator::fits_inline<decltype(chain)>,
-                "heartbeat re-arm chain must schedule allocation-free");
-  sim_.schedule_in(ch.deadline, std::move(chain));
+  schedule_check(channel, epoch, channels_[channel].deadline);
 }
 
 }  // namespace aft::detect

@@ -3,12 +3,14 @@
 // and feeds misses into a FaultDiscriminator, so each channel's fault class
 // (transient glitch vs wedged) is judged independently by the alpha-count
 // oracle — the many-component generalization of the Fig. 4 watchdog.
+// Channels go by the discriminator's id, which watch() mints; the name
+// lives only in the discriminator.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "detect/discriminator.hpp"
 #include "sim/simulator.hpp"
@@ -18,29 +20,35 @@ namespace aft::detect {
 class HeartbeatMonitor {
  public:
   /// `on_missed(channel, consecutive_misses)` fires on every missed window.
-  using MissHandler = std::function<void(const std::string&, std::uint64_t)>;
+  using MissHandler = std::function<void(ChannelId, std::uint64_t)>;
 
   HeartbeatMonitor(sim::Simulator& sim, FaultDiscriminator& discriminator);
 
-  /// Registers a channel with its own deadline; starts its window checks.
-  /// Duplicate registration throws.  Re-watching a previously unwatched
-  /// channel starts a single fresh check chain: any check left pending by
-  /// the earlier registration is invalidated (epoch guard), so an
-  /// unwatch()/watch() cycle cannot double-count windows.
-  void watch(const std::string& channel, sim::SimTime deadline);
+  /// Registers a channel with the discriminator, with its own deadline,
+  /// and starts its window checks.  Returns the discriminator's id for it.
+  ChannelId watch(std::string name, sim::SimTime deadline);
 
-  /// Liveness beat from a component.  Unknown channels throw.
-  void beat(const std::string& channel);
+  /// Re-watches a channel that watch(name) minted and unwatch() stopped
+  /// (a watched one throws).  It starts a single fresh check chain: any
+  /// check left pending by the earlier registration is invalidated (epoch
+  /// guard), so an unwatch()/watch() cycle cannot double-count windows.
+  void watch(ChannelId channel, sim::SimTime deadline);
+
+  /// Liveness beat from a component.  Unwatched channels throw.
+  void beat(ChannelId channel);
 
   /// Stops checking a channel (e.g. after decommissioning the component).
-  void unwatch(const std::string& channel);
+  void unwatch(ChannelId channel) { channels_.at(channel).active = false; }
 
   void set_miss_handler(MissHandler handler) { on_missed_ = std::move(handler); }
 
-  [[nodiscard]] bool watching(const std::string& channel) const;
-  [[nodiscard]] std::size_t channel_count() const noexcept { return channels_.size(); }
+  [[nodiscard]] bool watching(ChannelId channel) const {
+    return channel < channels_.size() && channels_[channel].active;
+  }
   [[nodiscard]] std::uint64_t total_misses() const noexcept { return total_misses_; }
-  [[nodiscard]] std::uint64_t consecutive_misses(const std::string& channel) const;
+  [[nodiscard]] std::uint64_t consecutive_misses(ChannelId channel) const {
+    return channels_.at(channel).consecutive_misses;
+  }
 
  private:
   struct Channel {
@@ -51,11 +59,12 @@ class HeartbeatMonitor {
     std::uint64_t consecutive_misses = 0;
   };
 
-  void check(const std::string& channel, std::uint64_t epoch);
+  void check(ChannelId channel, std::uint64_t epoch);
+  void schedule_check(ChannelId channel, std::uint64_t epoch, sim::SimTime delay);
 
   sim::Simulator& sim_;
   FaultDiscriminator& discriminator_;
-  std::map<std::string, Channel> channels_;
+  std::vector<Channel> channels_;  ///< indexed by the discriminator's id
   MissHandler on_missed_;
   std::uint64_t total_misses_ = 0;
 };

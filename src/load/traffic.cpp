@@ -1,24 +1,13 @@
 #include "load/traffic.hpp"
 
-#include <cerrno>
-#include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/obs.hpp"
+#include "vote/voter.hpp"
 
 namespace aft::load {
-namespace {
-
-vote::Ballot parse_ballot(const std::string& text, bool& ok) {
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  ok = end != text.c_str() && end != nullptr && *end == '\0' && errno == 0;
-  return static_cast<vote::Ballot>(value);
-}
-
-}  // namespace
 
 const char* to_string(Arrival arrival) noexcept {
   switch (arrival) {
@@ -65,14 +54,13 @@ ClientPopulation::ClientPopulation(sim::Simulator& sim,
   front_.serve_async(
       "invoke",
       [this](const std::string& request, net::Endpoint::Responder responder) {
-        bool ok = false;
-        const vote::Ballot input = parse_ballot(request, ok);
-        if (!ok) {
+        const std::optional<vote::Ballot> input = vote::parse_ballot(request);
+        if (!input) {
           responder.fail();
           return;
         }
         service_.invoke(
-            input, [responder](cluster::InvokeOutcome outcome,
+            *input, [responder](cluster::InvokeOutcome outcome,
                                const vote::RoundReport& report) {
               if (outcome == cluster::InvokeOutcome::kShed) {
                 // Surfaced as a rejection, NOT a timeout: the client learns

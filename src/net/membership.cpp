@@ -12,32 +12,25 @@ Membership::Membership(sim::Simulator& sim, Params params)
       discriminator_(params.alpha),
       monitor_(sim, discriminator_) {
   discriminator_.on_verdict_change(
-      [this](const std::string& channel, detect::FaultJudgment verdict) {
-        verdict_changed(channel, verdict);
+      [this](MemberId member, detect::FaultJudgment verdict) {
+        verdict_changed(member, verdict);
       });
 }
 
-void Membership::track(const std::string& member) {
-  const auto [it, inserted] = members_.try_emplace(member, true);
-  if (!inserted) return;
-  monitor_.watch(member, params_.deadline);
-  AFT_TRACE("net.membership", "track", {{"member", member}});
+Membership::MemberId Membership::track(std::string name) {
+  const MemberId member = monitor_.watch(std::move(name), params_.deadline);
+  up_.push_back(true);
+  AFT_TRACE("net.membership", "track",
+            {{"member", discriminator_.name(member)}});
+  return member;
 }
 
-void Membership::beat(const std::string& member) {
-  if (members_.find(member) == members_.end()) {
-    ++unknown_beats_;
-    return;
-  }
-  monitor_.beat(member);
-}
-
-void Membership::reinstate(const std::string& member) {
-  if (members_.find(member) == members_.end()) return;
-  AFT_TRACE("net.membership", "reinstate", {{"member", member}});
+void Membership::reinstate(MemberId member) {
+  AFT_TRACE("net.membership", "reinstate",
+            {{"member", discriminator_.name(member)}});
   // The reset's verdict change (kPermanentOrIntermittent -> kNoEvidence)
   // flows back through verdict_changed and marks the member up.
-  discriminator_.reset_channel(member);
+  discriminator_.reset(member);
 }
 
 void Membership::on_change(ChangeHandler handler) {
@@ -48,24 +41,16 @@ void Membership::set_down_evidence(EvidenceProvider provider) {
   down_evidence_ = std::move(provider);
 }
 
-bool Membership::up(const std::string& member) const {
-  const auto it = members_.find(member);
-  return it != members_.end() && it->second;
-}
-
 std::size_t Membership::up_count() const noexcept {
   std::size_t n = 0;
-  for (const auto& [member, is_up] : members_) n += is_up ? 1u : 0u;
+  for (const bool is_up : up_) n += is_up ? 1u : 0u;
   return n;
 }
 
-void Membership::verdict_changed(const std::string& member,
-                                 detect::FaultJudgment verdict) {
-  const auto it = members_.find(member);
-  if (it == members_.end()) return;  // discriminator channel we don't track
+void Membership::verdict_changed(MemberId member, detect::FaultJudgment verdict) {
   const bool now_up = verdict != detect::FaultJudgment::kPermanentOrIntermittent;
-  if (it->second == now_up) return;
-  it->second = now_up;
+  if (up_[member] == now_up) return;
+  up_[member] = now_up;
   if (now_up) {
     ++ups_;
     AFT_METRIC_ADD("net.membership.ups", 1);
@@ -80,7 +65,7 @@ void Membership::verdict_changed(const std::string& member,
   // so an evict/raise reaction walks back through the verdict to the drop.
   const obs::CauseScope cause(
       "net.membership", now_up ? "member-up" : "member-down",
-      {{"member", member}},
+      {{"member", discriminator_.name(member)}},
       !now_up && down_evidence_ ? down_evidence_(member) : obs::kNoEvent);
   // Index loop: a change handler may subscribe further handlers
   // re-entrantly (same hazard the discriminator fix covers).

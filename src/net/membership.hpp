@@ -11,13 +11,17 @@
 //
 // reinstate() models the Sect. 3.2 unit-replacement treatment: the failed
 // peer was repaired/replaced, so its evidence is cleared via
-// FaultDiscriminator::reset_channel — whose verdict-change notification
-// (bug-fixed in this module's PR) is exactly what brings the member back up.
+// FaultDiscriminator::reset — whose verdict-change notification is exactly
+// what brings the member back up.
+//
+// A member is its id, minted once by track() (the id of its heartbeat
+// channel and alpha-count judge) and used by every call and hook after
+// that: the code that wires a member's endpoint holds the id, so no beat,
+// window or verdict looks a name up.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -38,8 +42,11 @@ class Membership {
     detect::AlphaCount::Params alpha{};
   };
 
+  /// A tracked member, minted by track().
+  using MemberId = detect::ChannelId;
+
   /// `on_change(member, up)` fires on every up/down transition.
-  using ChangeHandler = std::function<void(const std::string&, bool)>;
+  using ChangeHandler = std::function<void(MemberId, bool)>;
 
   /// `on_miss(member, consecutive)` fires on every missed heartbeat window
   /// — raw monitor evidence, below the judgment layer.  Down-member
@@ -53,20 +60,20 @@ class Membership {
   /// Link::last_drop_event(kHeartbeat) on the member's return wire).
   /// Return obs::kNoEvent to keep the detector-side ancestry.  Purely
   /// observational — never consulted for the membership decision itself.
-  using EvidenceProvider = std::function<obs::EventId(const std::string&)>;
+  using EvidenceProvider = std::function<obs::EventId(MemberId)>;
 
   Membership(sim::Simulator& sim, Params params);
 
-  /// Registers `member` (initially up) and starts its heartbeat windows.
-  void track(const std::string& member);
+  /// Registers a member named `name` (initially up), starts its heartbeat
+  /// windows and returns its id.
+  MemberId track(std::string name);
 
-  /// Feeds one received beat (wire Endpoint::on_heartbeat here).  Beats
-  /// from untracked origins are counted and ignored.
-  void beat(const std::string& member);
+  /// Feeds one received beat (wire Endpoint::on_heartbeat here).
+  void beat(MemberId member) { monitor_.beat(member); }
 
   /// Administrative replacement of a failed member: clears its evidence
   /// and verdict; the resulting verdict change marks it up again.
-  void reinstate(const std::string& member);
+  void reinstate(MemberId member);
 
   void on_change(ChangeHandler handler);
 
@@ -82,33 +89,31 @@ class Membership {
   /// verdict to the dropped frame.
   void set_down_evidence(EvidenceProvider provider);
 
-  [[nodiscard]] bool up(const std::string& member) const;
+  /// Whether `member` is tracked and up.
+  [[nodiscard]] bool up(MemberId member) const {
+    return member < up_.size() && up_[member];
+  }
   [[nodiscard]] std::size_t up_count() const noexcept;
-  [[nodiscard]] std::size_t size() const noexcept { return members_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return up_.size(); }
   [[nodiscard]] std::uint64_t downs() const noexcept { return downs_; }
   [[nodiscard]] std::uint64_t ups() const noexcept { return ups_; }
-  [[nodiscard]] std::uint64_t unknown_beats() const noexcept {
-    return unknown_beats_;
-  }
   [[nodiscard]] const detect::FaultDiscriminator& discriminator()
       const noexcept {
     return discriminator_;
   }
 
  private:
-  void verdict_changed(const std::string& member,
-                       detect::FaultJudgment verdict);
+  void verdict_changed(MemberId member, detect::FaultJudgment verdict);
 
   sim::Simulator& sim_;
   Params params_;
   detect::FaultDiscriminator discriminator_;
   detect::HeartbeatMonitor monitor_;
-  std::map<std::string, bool> members_;  ///< member -> up
+  std::vector<bool> up_;  ///< indexed by member id
   std::vector<ChangeHandler> handlers_;
   EvidenceProvider down_evidence_;
   std::uint64_t downs_ = 0;
   std::uint64_t ups_ = 0;
-  std::uint64_t unknown_beats_ = 0;
 };
 
 }  // namespace aft::net

@@ -1,8 +1,18 @@
 #include "vote/voter.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdlib>
 
 namespace aft::vote {
+
+std::optional<Ballot> parse_ballot(const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno != 0) return std::nullopt;
+  return static_cast<Ballot>(value);
+}
 namespace {
 
 /// Longest run in a sorted range: returns {value, count, runner_up_count}.

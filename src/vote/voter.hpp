@@ -5,11 +5,17 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 namespace aft::vote {
 
 using Ballot = std::int64_t;
+
+/// Ballots travel the RPC plane as decimal strings (std::to_string).  The
+/// whole text must be one in-range base-10 integer; anything else (empty,
+/// trailing characters, overflow) is no ballot.
+[[nodiscard]] std::optional<Ballot> parse_ballot(const std::string& text);
 
 /// Outcome of one voting round over n ballots.
 struct VoteOutcome {

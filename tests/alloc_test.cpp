@@ -11,6 +11,8 @@
 //   * arch::EventBus publish and publish_batch over interned topics,
 //     plus MessageArena slot recycling,
 //   * net::Link frame send -> deliver through the recycled slot pool,
+//   * net::Membership heartbeat windows with member names too long for
+//     the small-string buffer,
 //   * vote::VotingFarm::invoke round after round, including after an
 //     arity resize, and
 //   * mem::EccScrubAccess batched patrol scrub (read_block + bit-sliced
@@ -32,6 +34,7 @@
 #include "load/traffic.hpp"
 #include "mem/method_ecc.hpp"
 #include "net/link.hpp"
+#include "net/membership.hpp"
 #include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "vote/voting_farm.hpp"
@@ -98,10 +101,11 @@ TEST(AllocTest, SimulatorSteadyStateIsAllocationFree) {
   }
   sim.run_all();
 
-  // Steady state: schedule and dispatch with a capture the size of the
-  // widest in-tree continuation (heartbeat: this + std::string + epoch =
-  // 48 bytes).  A short string stays in its SSO buffer, so the whole shape
-  // is allocation-free end to end.
+  // Steady state: schedule and dispatch with a 48-byte capture holding a
+  // std::string (this + string + counter).  A short string stays in its
+  // SSO buffer, so the whole shape is allocation-free end to end; a long
+  // one would allocate on every copy, which is why no in-tree
+  // continuation carries a name.
   struct Shape {
     std::uint64_t* fired;
     std::string channel;
@@ -409,6 +413,44 @@ TEST(AllocTest, BatchScrubSteadyStateIsAllocationFree) {
   });
   EXPECT_EQ(allocs, 0u);
   EXPECT_GE(method.stats().corrected_singles, 150u);  // most rounds corrected
+}
+
+TEST(AllocTest, LongMemberNamesKeepHeartbeatWindowsAllocationFree) {
+  // Member names longer than the 15-char small-string buffer.  A window's
+  // check continuation carries the member id, not the name, and beats go
+  // by id too, so the liveness plane stays off the heap whatever the names.
+  // (Carrying the name cost one allocation per member per window.)
+  aft::sim::Simulator sim;
+  aft::net::Membership::Params params;
+  params.deadline = 10;
+  aft::net::Membership membership(sim, params);
+  constexpr std::size_t kMembers = 9;
+  for (std::size_t i = 0; i < kMembers; ++i) {
+    const std::string name = "datacenter-east/replica-" + std::to_string(i);
+    ASSERT_GT(name.size(), 15u);
+    ASSERT_EQ(membership.track(name), i);
+  }
+  struct Beats {
+    aft::sim::Simulator* sim;
+    aft::net::Membership* membership;
+    void arm() {
+      auto beat = [this] {
+        for (std::size_t i = 0; i < kMembers; ++i) membership->beat(i);
+        arm();
+      };
+      static_assert(aft::sim::Simulator::fits_inline<decltype(beat)>);
+      sim->schedule_in(4, std::move(beat));
+    }
+  };
+  Beats beats{&sim, &membership};
+  beats.arm();
+  sim.run_until(100);  // warm-up: the slot pool reaches its high-water mark
+
+  const std::uint64_t allocs =
+      allocations_during([&] { sim.run_until(100 + 1000 * params.deadline); });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(membership.up_count(), kMembers);
+  EXPECT_EQ(membership.downs(), 0u);
 }
 
 TEST(AllocTest, OpenLoopTrafficSteadyStateIsAllocationFree) {

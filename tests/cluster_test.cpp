@@ -79,6 +79,13 @@ TEST(ClusterTest, ConstructionAndLifecycleValidation) {
                    sim, small_params(2),
                    [](Ballot input, std::size_t) { return input; }, 1),
                std::invalid_argument);
+  // A fan-out reply is tagged with its node index in 12 bits: node 4096
+  // would alias into the slot bits and its reply land in the wrong slot.
+  ClusterParams too_big = small_params(5);
+  too_big.pool = ReplicatedService::kMaxPool + 1;
+  EXPECT_THROW(ReplicatedService(
+                   sim, too_big, [](Ballot input, std::size_t) { return input; }, 1),
+               std::invalid_argument);
   ReplicatedService service(
       sim, small_params(5),
       [](Ballot input, std::size_t) { return correct_value(input); }, 1);
@@ -195,7 +202,7 @@ TEST(ClusterTest, EvictedMemberIsAutoReinstatedOnceItsBeatsResume) {
   service.link_to(0).partition();
   service.link_from(0).partition();
   sim.run_until(200);
-  EXPECT_FALSE(service.membership().up(service.replica_name(0)));
+  EXPECT_FALSE(service.membership().up(0));
   EXPECT_FALSE(service.eligible(0));
   EXPECT_EQ(service.counters().evictions, 1u);
   EXPECT_EQ(service.live_count(), 4u);
@@ -208,7 +215,7 @@ TEST(ClusterTest, EvictedMemberIsAutoReinstatedOnceItsBeatsResume) {
   service.link_to(0).heal();
   service.link_from(0).heal();
   sim.run_until(400);
-  EXPECT_TRUE(service.membership().up(service.replica_name(0)));
+  EXPECT_TRUE(service.membership().up(0));
   EXPECT_TRUE(service.eligible(0));
   EXPECT_EQ(service.counters().reinstatements, 1u);
   EXPECT_EQ(service.live_count(), 5u);
@@ -237,7 +244,7 @@ TEST(ClusterTest, FlappingMemberRestartsItsReinstatementBeatCount) {
   service.link_to(0).partition();
   service.link_from(0).partition();
   sim.run_until(100);
-  ASSERT_FALSE(service.membership().up(service.replica_name(0)));
+  ASSERT_FALSE(service.membership().up(0));
   ASSERT_EQ(service.counters().evictions, 1u);
 
   // Three flap cycles: heal for 10 ticks (a couple of beats leak through),
@@ -257,14 +264,14 @@ TEST(ClusterTest, FlappingMemberRestartsItsReinstatementBeatCount) {
   // beats, so the flapping member is still out (pre-fix, the stale
   // credit summed across cycles and reinstated it here).
   EXPECT_EQ(service.counters().reinstatements, 0u);
-  EXPECT_FALSE(service.membership().up(service.replica_name(0)));
+  EXPECT_FALSE(service.membership().up(0));
 
   // A sustained heal is still the legitimate path back in.
   service.link_to(0).heal();
   service.link_from(0).heal();
   sim.run_until(400);
   EXPECT_EQ(service.counters().reinstatements, 1u);
-  EXPECT_TRUE(service.membership().up(service.replica_name(0)));
+  EXPECT_TRUE(service.membership().up(0));
   EXPECT_TRUE(service.eligible(0));
 #if !defined(AFT_OBS_DISABLED)
   // The resets themselves are visible in the trace plane.
@@ -295,7 +302,7 @@ TEST(ClusterTest, PersistentValueCorrupterIsSuspectedUntilRepaired) {
   // — but the ballot discriminator retired it at the vote layer, so it no
   // longer counts as live.
   EXPECT_EQ(service.counters().evictions, 0u);
-  EXPECT_TRUE(service.membership().up(service.replica_name(0)));
+  EXPECT_TRUE(service.membership().up(0));
   EXPECT_EQ(service.live_count(), 4u);
   EXPECT_TRUE(service.suspect(0));
   EXPECT_FALSE(service.eligible(0));

@@ -4,10 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "detect/alpha_count.hpp"
 #include "detect/discriminator.hpp"
 #include "detect/watchdog.hpp"
+#include "obs/obs.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -151,23 +156,31 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(DiscriminatorTest, PerChannelIsolation) {
   FaultDiscriminator d;
+  const ChannelId healthy = d.add("healthy");
+  const ChannelId broken = d.add("broken");
+  const ChannelId never = d.add("never-seen");
+  EXPECT_EQ(healthy, 0u);
+  EXPECT_EQ(broken, 1u);
+  EXPECT_EQ(d.name(broken), "broken");
   for (int i = 0; i < 10; ++i) {
-    d.record("healthy", false);
-    d.record("broken", true);
+    d.record(healthy, false);
+    d.record(broken, true);
   }
-  EXPECT_EQ(d.judgment("healthy"), FaultJudgment::kNoEvidence);
-  EXPECT_EQ(d.judgment("broken"), FaultJudgment::kPermanentOrIntermittent);
-  EXPECT_EQ(d.judgment("never-seen"), FaultJudgment::kNoEvidence);
-  EXPECT_EQ(d.channel_count(), 2u);
+  EXPECT_EQ(d.judgment(healthy), FaultJudgment::kNoEvidence);
+  EXPECT_EQ(d.judgment(broken), FaultJudgment::kPermanentOrIntermittent);
+  EXPECT_EQ(d.judgment(never), FaultJudgment::kNoEvidence);
+  EXPECT_EQ(d.channel_count(), 3u);
+  EXPECT_THROW(d.record(3, true), std::out_of_range);  // never minted
+  EXPECT_THROW(d.reset(3), std::out_of_range);
 }
 
 TEST(DiscriminatorTest, VerdictChangeHandlerFiresOnTransitionsOnly) {
   FaultDiscriminator d;
-  std::vector<std::pair<std::string, FaultJudgment>> events;
-  d.on_verdict_change([&](const std::string& ch, FaultJudgment j) {
-    events.emplace_back(ch, j);
-  });
-  for (int i = 0; i < 10; ++i) d.record("c", true);
+  const ChannelId c = d.add("c");
+  std::vector<std::pair<ChannelId, FaultJudgment>> events;
+  d.on_verdict_change(
+      [&](ChannelId ch, FaultJudgment j) { events.emplace_back(ch, j); });
+  for (int i = 0; i < 10; ++i) d.record(c, true);
   // Two transitions: NoEvidence->Transient (first error),
   // Transient->PermanentOrIntermittent (threshold crossing).
   ASSERT_EQ(events.size(), 2u);
@@ -177,12 +190,38 @@ TEST(DiscriminatorTest, VerdictChangeHandlerFiresOnTransitionsOnly) {
 
 TEST(DiscriminatorTest, ResetChannelAfterReplacement) {
   FaultDiscriminator d;
-  for (int i = 0; i < 10; ++i) d.record("c", true);
-  ASSERT_EQ(d.judgment("c"), FaultJudgment::kPermanentOrIntermittent);
-  d.reset_channel("c");
-  EXPECT_NE(d.judgment("c"), FaultJudgment::kPermanentOrIntermittent);
-  EXPECT_DOUBLE_EQ(d.score("c"), 0.0);
-  d.reset_channel("unknown");  // harmless no-op
+  const ChannelId c = d.add("c");
+  for (int i = 0; i < 10; ++i) d.record(c, true);
+  ASSERT_EQ(d.judgment(c), FaultJudgment::kPermanentOrIntermittent);
+  d.reset(c);
+  EXPECT_NE(d.judgment(c), FaultJudgment::kPermanentOrIntermittent);
+  EXPECT_DOUBLE_EQ(d.score(c), 0.0);
+}
+
+// A registered channel stays invisible until its first judgment round: a
+// reset before then emits no detect.alpha/reset record and fires no
+// verdict (Membership::reinstate() and cluster repair() before the first
+// heartbeat window rely on it).  Once recorded, a reset is visible.
+TEST(DiscriminatorTest, ResetBeforeTheFirstRoundIsInvisible) {
+  aft::obs::TraceSink sink;
+  aft::obs::ScopedObs scope(&sink, nullptr);
+  FaultDiscriminator d;
+  const ChannelId c = d.add("c");
+  int verdicts = 0;
+  d.on_verdict_change([&](ChannelId, FaultJudgment) { ++verdicts; });
+  EXPECT_FALSE(d.reset(c));
+  EXPECT_EQ(d.judgment(c), FaultJudgment::kNoEvidence);
+  EXPECT_EQ(verdicts, 0);
+  EXPECT_EQ(sink.size(), 0u);
+
+  d.record(c, false);
+  EXPECT_FALSE(d.reset(c));  // visible now, but the verdict did not move
+  EXPECT_EQ(verdicts, 0);
+#if !defined(AFT_OBS_DISABLED)
+  EXPECT_EQ(sink.size(), 1u);
+  EXPECT_NE(sink.jsonl().find(R"("component":"detect.alpha","event":"reset")"),
+            std::string::npos);
+#endif
 }
 
 // Regression: reset_channel() used to update the stored judgment silently,
@@ -191,21 +230,22 @@ TEST(DiscriminatorTest, ResetChannelAfterReplacement) {
 // that suspended the channel was never told to re-arm it.
 TEST(DiscriminatorTest, ResetChannelNotifiesSubscribersOfTheTransition) {
   FaultDiscriminator d;
-  std::vector<std::pair<std::string, FaultJudgment>> events;
-  d.on_verdict_change([&](const std::string& ch, FaultJudgment j) {
-    events.emplace_back(ch, j);
-  });
-  for (int i = 0; i < 10; ++i) d.record("c", true);
+  d.add("other");
+  const ChannelId c = d.add("c");
+  std::vector<std::pair<ChannelId, FaultJudgment>> events;
+  d.on_verdict_change(
+      [&](ChannelId ch, FaultJudgment j) { events.emplace_back(ch, j); });
+  for (int i = 0; i < 10; ++i) d.record(c, true);
   ASSERT_EQ(events.size(), 2u);  // NoEvidence->Transient->Permanent
 
-  d.reset_channel("c");
+  d.reset(c);
   ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[2].first, "c");
+  EXPECT_EQ(events[2].first, c);
   EXPECT_EQ(events[2].second, FaultJudgment::kNoEvidence);
 
   // A reset that does not move the verdict stays silent: the channel is
   // already at kNoEvidence, so a second reset is not a transition.
-  d.reset_channel("c");
+  d.reset(c);
   EXPECT_EQ(events.size(), 3u);
 }
 
@@ -216,21 +256,21 @@ TEST(DiscriminatorTest, ResetChannelNotifiesSubscribersOfTheTransition) {
 // subscribers hear about subsequent transitions only.
 TEST(DiscriminatorTest, HandlerMaySubscribeReentrantlyDuringNotification) {
   FaultDiscriminator d;
+  const ChannelId c = d.add("c");
   int outer_calls = 0;
   int inner_calls = 0;
-  d.on_verdict_change([&](const std::string&, FaultJudgment) {
+  d.on_verdict_change([&](ChannelId, FaultJudgment) {
     ++outer_calls;
     // Force reallocation pressure: several re-entrant subscriptions.
     for (int i = 0; i < 4; ++i) {
-      d.on_verdict_change(
-          [&](const std::string&, FaultJudgment) { ++inner_calls; });
+      d.on_verdict_change([&](ChannelId, FaultJudgment) { ++inner_calls; });
     }
   });
-  d.record("c", true);  // NoEvidence -> Transient
+  d.record(c, true);  // NoEvidence -> Transient
   EXPECT_EQ(outer_calls, 1);
   EXPECT_EQ(inner_calls, 0);  // not invoked for the transition that added them
 
-  for (int i = 0; i < 9; ++i) d.record("c", true);  // -> Permanent
+  for (int i = 0; i < 9; ++i) d.record(c, true);  // -> Permanent
   EXPECT_EQ(outer_calls, 2);
   EXPECT_EQ(inner_calls, 4);  // the first four subscribers hear the second
 }

@@ -18,8 +18,7 @@ struct Fixture {
 };
 
 /// Schedules a beat for `channel` every `period` ticks until `until`.
-void drive_beats(Fixture& f, const std::string& channel, SimTime period,
-                 SimTime until) {
+void drive_beats(Fixture& f, ChannelId channel, SimTime period, SimTime until) {
   for (SimTime t = period; t <= until; t += period) {
     f.sim.schedule_at(t, [&f, channel] {
       if (f.monitor.watching(channel)) f.monitor.beat(channel);
@@ -30,45 +29,48 @@ void drive_beats(Fixture& f, const std::string& channel, SimTime period,
 TEST(HeartbeatTest, RegistrationRules) {
   Fixture f;
   EXPECT_THROW(f.monitor.watch("c", 0), std::invalid_argument);
-  f.monitor.watch("c", 10);
-  EXPECT_TRUE(f.monitor.watching("c"));
-  EXPECT_THROW(f.monitor.watch("c", 10), std::invalid_argument);
-  EXPECT_THROW(f.monitor.beat("unknown"), std::invalid_argument);
-  EXPECT_EQ(f.monitor.channel_count(), 1u);
+  EXPECT_EQ(f.discriminator.channel_count(), 0u);  // nothing registered
+  const ChannelId c = f.monitor.watch("c", 10);
+  EXPECT_EQ(c, 0u);
+  EXPECT_EQ(f.discriminator.name(c), "c");
+  EXPECT_TRUE(f.monitor.watching(c));
+  EXPECT_THROW(f.monitor.watch(c, 10), std::invalid_argument);  // still watched
+  EXPECT_THROW(f.monitor.beat(c + 1), std::invalid_argument);
+  // Ids are minted per watch(name): a second channel may share the name.
+  EXPECT_EQ(f.monitor.watch("c", 10), 1u);
+  EXPECT_EQ(f.discriminator.channel_count(), 2u);
 }
 
 TEST(HeartbeatTest, HealthyChannelsNeverMiss) {
   Fixture f;
-  f.monitor.watch("a", 10);
-  f.monitor.watch("b", 7);
-  drive_beats(f, "a", 5, 500);
-  drive_beats(f, "b", 3, 500);
+  const ChannelId a = f.monitor.watch("a", 10);
+  const ChannelId b = f.monitor.watch("b", 7);
+  drive_beats(f, a, 5, 500);
+  drive_beats(f, b, 3, 500);
   f.sim.run_until(500);
   EXPECT_EQ(f.monitor.total_misses(), 0u);
-  EXPECT_EQ(f.discriminator.judgment("a"), FaultJudgment::kNoEvidence);
-  EXPECT_EQ(f.discriminator.judgment("b"), FaultJudgment::kNoEvidence);
+  EXPECT_EQ(f.discriminator.judgment(a), FaultJudgment::kNoEvidence);
+  EXPECT_EQ(f.discriminator.judgment(b), FaultJudgment::kNoEvidence);
 }
 
 TEST(HeartbeatTest, SilentChannelIsJudgedPermanent) {
   Fixture f;
-  f.monitor.watch("dead", 10);
-  f.monitor.watch("alive", 10);
-  drive_beats(f, "alive", 5, 200);
+  const ChannelId dead = f.monitor.watch("dead", 10);
+  const ChannelId alive = f.monitor.watch("alive", 10);
+  drive_beats(f, alive, 5, 200);
   f.sim.run_until(200);
-  EXPECT_GE(f.monitor.consecutive_misses("dead"), 19u);
-  EXPECT_EQ(f.discriminator.judgment("dead"),
-            FaultJudgment::kPermanentOrIntermittent);
-  EXPECT_EQ(f.discriminator.judgment("alive"), FaultJudgment::kNoEvidence);
+  EXPECT_GE(f.monitor.consecutive_misses(dead), 19u);
+  EXPECT_EQ(f.discriminator.judgment(dead), FaultJudgment::kPermanentOrIntermittent);
+  EXPECT_EQ(f.discriminator.judgment(alive), FaultJudgment::kNoEvidence);
 }
 
 TEST(HeartbeatTest, MissHandlerReceivesConsecutiveCount) {
   Fixture f;
   std::vector<std::uint64_t> misses;
-  f.monitor.set_miss_handler(
-      [&](const std::string& ch, std::uint64_t n) {
-        EXPECT_EQ(ch, "c");
-        misses.push_back(n);
-      });
+  f.monitor.set_miss_handler([&](ChannelId ch, std::uint64_t n) {
+    EXPECT_EQ(f.discriminator.name(ch), "c");
+    misses.push_back(n);
+  });
   f.monitor.watch("c", 10);
   f.sim.run_until(35);  // windows at 10,20,30 all miss
   EXPECT_EQ(misses, (std::vector<std::uint64_t>{1, 2, 3}));
@@ -76,37 +78,37 @@ TEST(HeartbeatTest, MissHandlerReceivesConsecutiveCount) {
 
 TEST(HeartbeatTest, RecoveryResetsConsecutiveMisses) {
   Fixture f;
-  f.monitor.watch("c", 10);
+  const ChannelId c = f.monitor.watch("c", 10);
   f.sim.run_until(25);  // 2 misses
-  EXPECT_EQ(f.monitor.consecutive_misses("c"), 2u);
-  f.monitor.beat("c");
+  EXPECT_EQ(f.monitor.consecutive_misses(c), 2u);
+  f.monitor.beat(c);
   f.sim.run_until(35);  // window at 30 satisfied
-  EXPECT_EQ(f.monitor.consecutive_misses("c"), 0u);
+  EXPECT_EQ(f.monitor.consecutive_misses(c), 0u);
   EXPECT_EQ(f.monitor.total_misses(), 2u);  // history retained
 }
 
 TEST(HeartbeatTest, UnwatchStopsChecks) {
   Fixture f;
-  f.monitor.watch("c", 10);
+  const ChannelId c = f.monitor.watch("c", 10);
   f.sim.run_until(25);
   const auto before = f.monitor.total_misses();
-  f.monitor.unwatch("c");
-  EXPECT_FALSE(f.monitor.watching("c"));
+  f.monitor.unwatch(c);
+  EXPECT_FALSE(f.monitor.watching(c));
   f.sim.run_until(200);
   EXPECT_EQ(f.monitor.total_misses(), before);
 }
 
 TEST(HeartbeatTest, TransientGlitchStaysTransient) {
   Fixture f;
-  f.monitor.watch("c", 10);
+  const ChannelId c = f.monitor.watch("c", 10);
   // Healthy beats except a 2-window gap.
   for (SimTime t = 5; t <= 400; t += 5) {
     if (t > 100 && t <= 120) continue;  // the glitch
-    f.sim.schedule_at(t, [&f] { f.monitor.beat("c"); });
+    f.sim.schedule_at(t, [&f, c] { f.monitor.beat(c); });
   }
   f.sim.run_until(400);
   EXPECT_GE(f.monitor.total_misses(), 1u);
-  EXPECT_EQ(f.discriminator.judgment("c"), FaultJudgment::kTransient);
+  EXPECT_EQ(f.discriminator.judgment(c), FaultJudgment::kTransient);
 }
 
 TEST(HeartbeatTest, RewatchRunsASingleCheckChain) {
@@ -116,27 +118,26 @@ TEST(HeartbeatTest, RewatchRunsASingleCheckChain) {
   // the stale chain: a fully silent channel over n windows scores exactly
   // n misses, not 2n.
   Fixture f;
-  f.monitor.watch("c", 10);
+  const ChannelId c = f.monitor.watch("c", 10);
   f.sim.run_until(5);  // check for t=10 is pending
-  f.monitor.unwatch("c");
-  f.monitor.watch("c", 10);  // re-watch before the stale check fires
-  f.sim.run_until(105);      // 10 windows of the fresh chain (t=15..105)
+  f.monitor.unwatch(c);
+  f.monitor.watch(c, 10);  // re-watch before the stale check fires
+  f.sim.run_until(105);    // 10 windows of the fresh chain (t=15..105)
   EXPECT_EQ(f.monitor.total_misses(), 10u);
-  EXPECT_EQ(f.monitor.consecutive_misses("c"), 10u);
+  EXPECT_EQ(f.monitor.consecutive_misses(c), 10u);
 }
 
 TEST(HeartbeatTest, IndependentDeadlinesPerChannel) {
   Fixture f;
-  f.monitor.watch("fast", 5);
-  f.monitor.watch("slow", 50);
+  const ChannelId fast = f.monitor.watch("fast", 5);
+  const ChannelId slow = f.monitor.watch("slow", 50);
   // Beat both every 20 ticks: satisfies "slow", starves "fast".
-  drive_beats(f, "fast", 20, 300);
-  drive_beats(f, "slow", 20, 300);
+  drive_beats(f, fast, 20, 300);
+  drive_beats(f, slow, 20, 300);
   f.sim.run_until(300);
   EXPECT_GT(f.monitor.total_misses(), 0u);
-  EXPECT_EQ(f.discriminator.judgment("slow"), FaultJudgment::kNoEvidence);
-  EXPECT_EQ(f.discriminator.judgment("fast"),
-            FaultJudgment::kPermanentOrIntermittent);
+  EXPECT_EQ(f.discriminator.judgment(slow), FaultJudgment::kNoEvidence);
+  EXPECT_EQ(f.discriminator.judgment(fast), FaultJudgment::kPermanentOrIntermittent);
 }
 
 }  // namespace

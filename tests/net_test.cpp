@@ -888,39 +888,33 @@ TEST(MembershipTest, SilenceTakesAMemberDownAndReinstateBringsItBack) {
   Membership::Params params;
   params.deadline = 10;
   Membership membership(sim, params);
-  std::vector<std::pair<std::string, bool>> changes;
+  std::vector<std::pair<Membership::MemberId, bool>> changes;
   membership.on_change(
-      [&](const std::string& m, bool up) { changes.emplace_back(m, up); });
+      [&](Membership::MemberId m, bool up) { changes.emplace_back(m, up); });
 
-  membership.track("b");
-  EXPECT_TRUE(membership.up("b"));
+  EXPECT_FALSE(membership.up(0));  // not tracked yet
+  EXPECT_THROW(membership.beat(0), std::invalid_argument);
+  EXPECT_THROW(membership.reinstate(0), std::out_of_range);
+  const Membership::MemberId b = membership.track("b");
+  EXPECT_EQ(b, 0u);
+  EXPECT_TRUE(membership.up(b));
   EXPECT_EQ(membership.size(), 1u);
 
   // No beats at all: misses at t=10,20,30,40 push the score to 4 > 3.
   sim.run_until(60);
-  EXPECT_FALSE(membership.up("b"));
+  EXPECT_FALSE(membership.up(b));
   EXPECT_EQ(membership.downs(), 1u);
   EXPECT_EQ(membership.up_count(), 0u);
   ASSERT_EQ(changes.size(), 1u);
-  EXPECT_EQ(changes[0], std::pair(std::string("b"), false));
+  EXPECT_EQ(changes[0], std::pair(b, false));
 
   // Unit replacement: the cleared evidence must notify back to "up" —
-  // this rides on FaultDiscriminator::reset_channel firing its handlers.
-  membership.reinstate("b");
-  EXPECT_TRUE(membership.up("b"));
+  // this rides on FaultDiscriminator::reset firing its handlers.
+  membership.reinstate(b);
+  EXPECT_TRUE(membership.up(b));
   EXPECT_EQ(membership.ups(), 1u);
   ASSERT_EQ(changes.size(), 2u);
-  EXPECT_EQ(changes[1], std::pair(std::string("b"), true));
-}
-
-TEST(MembershipTest, BeatsFromUnknownOriginsAreCountedAndIgnored) {
-  Simulator sim;
-  Membership membership(sim, Membership::Params{});
-  membership.beat("stranger");
-  EXPECT_EQ(membership.unknown_beats(), 1u);
-  EXPECT_FALSE(membership.up("stranger"));
-  membership.reinstate("stranger");  // harmless no-op
-  EXPECT_EQ(membership.size(), 0u);
+  EXPECT_EQ(changes[1], std::pair(b, true));
 }
 
 TEST(MembershipTest, HeartbeatsOverTheWireKeepAMemberUpThroughAPartition) {
@@ -935,28 +929,29 @@ TEST(MembershipTest, HeartbeatsOverTheWireKeepAMemberUpThroughAPartition) {
   Membership::Params params;
   params.deadline = 10;
   Membership membership(sim, params);
-  membership.track("client");
-  server.on_heartbeat(
-      [&](const std::string& origin) { membership.beat(origin); });
+  // The code that wires the endpoint holds the member id: a beat is
+  // credited without looking the frame's origin up.
+  const Membership::MemberId member = membership.track("client");
+  server.on_heartbeat([&](const std::string&) { membership.beat(member); });
   client.start_heartbeats(4);
 
   sim.run_until(100);
-  EXPECT_TRUE(membership.up("client"));
+  EXPECT_TRUE(membership.up(member));
   EXPECT_EQ(membership.downs(), 0u);
   EXPECT_GT(server.heartbeats_received(), 20u);
 
   // A partition silences the beats; consecutive misses take the member down.
   c2s.partition();
   sim.run_until(200);
-  EXPECT_FALSE(membership.up("client"));
+  EXPECT_FALSE(membership.up(member));
   EXPECT_EQ(membership.downs(), 1u);
 
   // Heal + administrative reinstate: beats resume and the member stays up.
   c2s.heal();
-  membership.reinstate("client");
-  EXPECT_TRUE(membership.up("client"));
+  membership.reinstate(member);
+  EXPECT_TRUE(membership.up(member));
   sim.run_until(300);
-  EXPECT_TRUE(membership.up("client"));
+  EXPECT_TRUE(membership.up(member));
   EXPECT_EQ(membership.downs(), 1u);  // no further flaps
   EXPECT_EQ(membership.ups(), 1u);
 }
@@ -984,24 +979,30 @@ TEST(MembershipTest, OnMissSurfacesRawMonitorEvidenceWithConsecutiveCounts) {
   Membership::Params params;
   params.deadline = 10;
   Membership membership(sim, params);
-  std::vector<std::pair<std::string, std::uint64_t>> misses;
-  membership.on_miss([&](const std::string& member, std::uint64_t consecutive) {
+  std::vector<std::pair<Membership::MemberId, std::uint64_t>> misses;
+  membership.on_miss([&](Membership::MemberId member, std::uint64_t consecutive) {
     misses.emplace_back(member, consecutive);
   });
-  membership.track("b");
-  // No beats at all: windows at t=10,20,30 each miss, counting up.
+  // b is the second member, so the hook must pass its own id (1), not 0.
+  membership.track("a");
+  const Membership::MemberId b = membership.track("b");
+  // No beats from b: windows at t=10,20,30 each miss, counting up.
+  sim.schedule_at(5, [&] { membership.beat(0); });
+  sim.schedule_at(15, [&] { membership.beat(0); });
+  sim.schedule_at(25, [&] { membership.beat(0); });
   sim.run_until(35);
   ASSERT_EQ(misses.size(), 3u);
   for (std::size_t i = 0; i < misses.size(); ++i) {
-    EXPECT_EQ(misses[i].first, "b");
+    EXPECT_EQ(misses[i].first, b);
     EXPECT_EQ(misses[i].second, i + 1);
   }
   // The miss stream is below the judgment layer: all three misses fired
   // even though the alpha-count verdict has not flipped the member yet.
-  EXPECT_TRUE(membership.up("b"));
+  EXPECT_TRUE(membership.up(b));
   // Once the evidence does cross the threshold the stream keeps counting.
   sim.run_until(60);
-  EXPECT_FALSE(membership.up("b"));
+  EXPECT_FALSE(membership.up(b));
+  std::erase_if(misses, [&](const auto& miss) { return miss.first != b; });
   EXPECT_GE(misses.size(), 5u);
   EXPECT_EQ(misses.back().second, misses.size());  // still consecutive
 }
@@ -1017,26 +1018,26 @@ TEST(MembershipTest, DownEvidenceIsReQueriedFreshOnEverySecondDownTransition) {
   Membership::Params params;
   params.deadline = 10;
   Membership membership(sim, params);
-  std::vector<std::string> queries;
-  membership.set_down_evidence([&queries](const std::string& member) {
+  std::vector<Membership::MemberId> queries;
+  membership.set_down_evidence([&queries](Membership::MemberId member) {
     queries.push_back(member);
     return aft::obs::kNoEvent;
   });
-  membership.track("b");
+  const Membership::MemberId b = membership.track("b");
 
   sim.run_until(60);  // first outage
-  EXPECT_FALSE(membership.up("b"));
+  EXPECT_FALSE(membership.up(b));
   ASSERT_EQ(queries.size(), 1u);
-  EXPECT_EQ(queries[0], "b");
+  EXPECT_EQ(queries[0], b);
 
-  membership.reinstate("b");
-  EXPECT_TRUE(membership.up("b"));
+  membership.reinstate(b);
+  EXPECT_TRUE(membership.up(b));
   EXPECT_EQ(queries.size(), 1u);  // up transitions never consult it
 
   sim.run_until(160);  // second outage: a fresh query, not a cached id
-  EXPECT_FALSE(membership.up("b"));
+  EXPECT_FALSE(membership.up(b));
   ASSERT_EQ(queries.size(), 2u);
-  EXPECT_EQ(queries[1], "b");
+  EXPECT_EQ(queries[1], b);
   EXPECT_EQ(membership.downs(), 2u);
 }
 
@@ -1052,24 +1053,23 @@ TEST(MembershipTest, ThrowingChangeHandlerLeavesTheCauseAsItWas) {
   params.deadline = 10;
   Membership membership(sim, params);
   const aft::obs::EventId evidence = sink.emit("net.link", "drop");
-  membership.set_down_evidence(
-      [evidence](const std::string&) { return evidence; });
-  membership.on_change([](const std::string&, bool) {
+  membership.set_down_evidence([evidence](Membership::MemberId) { return evidence; });
+  membership.on_change([](Membership::MemberId, bool) {
     throw std::runtime_error("handler failed");
   });
-  membership.track("b");
+  const Membership::MemberId b = membership.track("b");
 
   // Down, inside a monitor dispatch: the kernel installed the cause that
   // was current when the check was scheduled (none).
   EXPECT_THROW(sim.run_until(60), std::runtime_error);
-  EXPECT_FALSE(membership.up("b"));
+  EXPECT_FALSE(membership.up(b));
   EXPECT_EQ(sink.cause(), aft::obs::kNoEvent);
 
   // Up, called directly under an ambient cause.
   const aft::obs::EventId ambient = sink.emit("test", "ambient");
   sink.set_cause(ambient);
-  EXPECT_THROW(membership.reinstate("b"), std::runtime_error);
-  EXPECT_TRUE(membership.up("b"));
+  EXPECT_THROW(membership.reinstate(b), std::runtime_error);
+  EXPECT_TRUE(membership.up(b));
   EXPECT_EQ(sink.cause(), ambient);
 }
 #endif

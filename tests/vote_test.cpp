@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
+#include <optional>
 
 #include "vote/dtof.hpp"
 #include "vote/voter.hpp"
@@ -82,6 +84,29 @@ TEST(MajorityVoteInplaceTest, MatchesCopyingVariant) {
   EXPECT_EQ(copying.has_majority, inplace.has_majority);
   EXPECT_EQ(copying.winner, inplace.winner);
   EXPECT_EQ(copying.dissent, inplace.dissent);
+}
+
+TEST(ParseBallotTest, AcceptsExactlyOneInRangeDecimalInteger) {
+  struct Case {
+    const char* text;
+    std::optional<Ballot> ballot;
+  };
+  const Case cases[] = {
+      {"7", 7},
+      {"-42", -42},
+      {"0", 0},
+      {"9223372036854775807", INT64_MAX},
+      {"-9223372036854775808", INT64_MIN},
+      {"", std::nullopt},
+      {"7x", std::nullopt},
+      {"x7", std::nullopt},
+      {"-", std::nullopt},
+      {"9223372036854775808", std::nullopt},    // ERANGE
+      {"-9223372036854775809", std::nullopt},   // ERANGE
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(parse_ballot(c.text), c.ballot) << '"' << c.text << '"';
+  }
 }
 
 // --- dtof: the exact Fig. 5 table -------------------------------------------------
