@@ -2,9 +2,11 @@
 
 #include "obs/flight.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -68,10 +70,137 @@ void put_varint(std::string& out, std::uint64_t v) {
   out.push_back(static_cast<char>(v));
 }
 
+std::uint8_t* put_varint(std::uint8_t* w, std::uint64_t v) {
+  while (v >= 0x80) {
+    *w++ = static_cast<std::uint8_t>(0x80u | (v & 0x7Fu));
+    v >>= 7;
+  }
+  *w++ = static_cast<std::uint8_t>(v);
+  return w;
+}
+
+std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+// Decodes a varint the sink wrote itself: no bounds to check.
+std::uint64_t get_varint(const std::uint8_t*& p) {
+  std::uint64_t v = 0;
+  for (unsigned shift = 0;; shift += 7) {
+    const std::uint8_t byte = *p++;
+    v |= static_cast<std::uint64_t>(byte & 0x7Fu) << shift;
+    if ((byte & 0x80u) == 0) return v;
+  }
+}
+
 // Zigzag: small-magnitude signed values -> small varints.
 std::uint64_t zigzag(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^
          static_cast<std::uint64_t>(v >> 63);
+}
+
+std::int64_t unzigzag(std::uint64_t v) {
+  return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
+}
+
+// Upper bounds of an encoded record: a varint of up to 64 bits takes 10
+// bytes, of a string id 5.  The length prefix, then t, ref flags, span,
+// cause, component, event and field count; per field its key, kind and
+// value.
+constexpr std::size_t kMaxVarint = 10;
+constexpr std::size_t kMaxStrId = 5;
+constexpr std::size_t kMaxRecordHead =
+    kMaxVarint + kMaxVarint + 1 + 2 * kMaxVarint + 2 * kMaxStrId + kMaxVarint;
+constexpr std::size_t kMaxFieldBytes = kMaxStrId + 1 + kMaxVarint;
+
+std::size_t max_record_bytes(std::size_t field_count) {
+  return kMaxRecordHead + kMaxFieldBytes * field_count;
+}
+
+/// One field: interned key + type tag + raw 64-bit value payload (u64
+/// as-is; i64/f64 bit_cast; bool 0/1; str = interned id).
+struct FieldRec {
+  std::uint64_t key;
+  Field::Kind kind;
+  std::uint64_t bits;
+};
+
+std::uint8_t* put_field(std::uint8_t* w, const FieldRec& f) {
+  w = put_varint(w, f.key);
+  *w++ = static_cast<std::uint8_t>(f.kind);
+  switch (f.kind) {
+    case Field::Kind::kU64: return put_varint(w, f.bits);
+    case Field::Kind::kI64:
+      return put_varint(w, zigzag(std::bit_cast<std::int64_t>(f.bits)));
+    case Field::Kind::kF64:
+      for (int b = 0; b < 8; ++b) {
+        *w++ = static_cast<std::uint8_t>((f.bits >> (8 * b)) & 0xFFu);
+      }
+      return w;
+    case Field::Kind::kBool:
+      *w++ = static_cast<std::uint8_t>(f.bits != 0 ? 1 : 0);
+      return w;
+    case Field::Kind::kStr: return put_varint(w, f.bits);
+  }
+  return w;
+}
+
+FieldRec get_field(const std::uint8_t*& p) {
+  FieldRec f{};
+  f.key = get_varint(p);
+  f.kind = static_cast<Field::Kind>(*p++);
+  switch (f.kind) {
+    case Field::Kind::kU64: f.bits = get_varint(p); break;
+    case Field::Kind::kI64:
+      f.bits = std::bit_cast<std::uint64_t>(unzigzag(get_varint(p)));
+      break;
+    case Field::Kind::kF64:
+      for (int b = 0; b < 8; ++b) {
+        f.bits |= static_cast<std::uint64_t>(*p++) << (8 * b);
+      }
+      break;
+    case Field::Kind::kBool: f.bits = *p++; break;
+    case Field::Kind::kStr: f.bits = get_varint(p); break;
+  }
+  return f;
+}
+
+/// A decoded record, up to its fields, which follow at `fields`.
+struct RecordHead {
+  std::uint64_t dt;  ///< t minus the previous record's t, mod 2^64
+  std::uint8_t refs;
+  std::uint64_t span_delta = 0;
+  std::uint64_t cause_delta = 0;
+  std::uint64_t component;
+  std::uint64_t event;
+  std::uint64_t field_count;
+  const std::uint8_t* fields;
+};
+
+/// Calls fn(head) for every buffered record, in order.
+template <typename Chunks, typename Fn>
+void for_each_record(const Chunks& chunks, Fn&& fn) {
+  for (const auto& chunk : chunks) {
+    const std::uint8_t* p = chunk.bytes.get();
+    const std::uint8_t* const end = p + chunk.size;
+    while (p < end) {
+      const std::uint64_t body_length = get_varint(p);
+      const std::uint8_t* const next = p + body_length;
+      RecordHead h{};
+      h.dt = static_cast<std::uint64_t>(unzigzag(get_varint(p)));
+      h.refs = *p++;
+      if ((h.refs & 1) != 0) h.span_delta = get_varint(p);
+      if ((h.refs & 2) != 0) h.cause_delta = get_varint(p);
+      h.component = get_varint(p);
+      h.event = get_varint(p);
+      h.field_count = get_varint(p);
+      h.fields = p;
+      fn(h);
+      p = next;
+    }
+  }
 }
 
 }  // namespace
@@ -88,147 +217,194 @@ void Field::append_value(std::string& out) const {
 
 TraceSink::TraceSink(std::size_t max_events) : max_events_(max_events) {}
 
+std::uint8_t* TraceSink::reserve(std::size_t max_bytes) {
+  if (chunks_.empty() ||
+      chunks_.back().capacity - chunks_.back().size < max_bytes) {
+    const std::size_t capacity = std::max(kChunkBytes, max_bytes);
+    chunks_.push_back(Chunk{
+        std::make_unique_for_overwrite<std::uint8_t[]>(capacity), 0, capacity});
+  }
+  return chunks_.back().bytes.get() + chunks_.back().size;
+}
+
+void TraceSink::commit(std::uint8_t* hole, const std::uint8_t* body_end) {
+  const auto body_length = static_cast<std::size_t>(body_end - (hole + 1));
+  std::size_t prefix = 1;
+  if (body_length < 0x80) {
+    *hole = static_cast<std::uint8_t>(body_length);
+  } else {
+    prefix = varint_size(body_length);
+    std::memmove(hole + prefix, hole + 1, body_length);
+    put_varint(hole, body_length);
+  }
+  chunks_.back().size += prefix + body_length;
+  ++count_;
+}
+
+std::uint8_t* TraceSink::put_time(std::uint8_t* w, std::uint64_t t) {
+  w = put_varint(w, zigzag(static_cast<std::int64_t>(t - last_t_)));
+  last_t_ = t;
+  return w;
+}
+
+std::uint64_t TraceSink::field_bits(const Field& f) {
+  switch (f.kind()) {
+    case Field::Kind::kU64: return f.u64();
+    case Field::Kind::kI64: return std::bit_cast<std::uint64_t>(f.i64());
+    // bit_cast keeps the exact double, so the JSONL decode renders the same
+    // bytes Field::append_value would have.
+    case Field::Kind::kF64: return std::bit_cast<std::uint64_t>(f.f64());
+    case Field::Kind::kBool: return f.boolean() ? 1 : 0;
+    case Field::Kind::kStr: return strings_.intern(f.str());
+  }
+  return 0;
+}
+
+// Record body layout (version 1; full spec in docs/observability.md):
+//
+//   varint zigzag(t - prev_t)    (prev_t: the previous record's, at first 0)
+//   u8 ref_flags                 (bit0 span present, bit1 cause present)
+//   varint seq - span            (if bit0; refs point strictly backwards)
+//   varint seq - cause           (if bit1)
+//   varint component_id
+//   varint event_id
+//   varint field_count
+//   per field: varint key_id, u8 kind, value:
+//     kU64 varint | kI64 varint zigzag | kF64 8 raw LE bytes |
+//     kBool u8 | kStr varint string_id
+//
+// Strings are interned in the order they are written, which fixes the
+// order of the string table.
 EventId TraceSink::emit(std::string_view component, std::string_view event,
                         std::initializer_list<Field> fields) {
-  if (recs_.size() >= max_events_) {
+  if (count_ >= max_events_) {
     ++dropped_;
     return kNoEvent;
   }
-  const EventId id = recs_.size();
+  const EventId id = count_;
   if (FlightRecorder* recorder = flight(); recorder != nullptr) {
     recorder->record(time_, component, event, span_, cause_);
   }
-  Rec rec;
-  rec.t = time_;
-  rec.span = span_;
-  rec.cause = cause_;
-  rec.component = strings_.intern(component);
-  rec.event = strings_.intern(event);
-  rec.field_begin = static_cast<std::uint32_t>(fields_.size());
-  rec.field_count = static_cast<std::uint32_t>(fields.size());
+  std::uint8_t* const hole = reserve(max_record_bytes(fields.size()));
+  std::uint8_t* w = put_time(hole + 1, time_);
+  const bool has_span = span_ != kNoEvent;
+  const bool has_cause = cause_ != kNoEvent;
+  *w++ = static_cast<std::uint8_t>((has_span ? 1 : 0) | (has_cause ? 2 : 0));
+  if (has_span) w = put_varint(w, id - span_);
+  if (has_cause) w = put_varint(w, id - cause_);
+  w = put_varint(w, strings_.intern(component));
+  w = put_varint(w, strings_.intern(event));
+  w = put_varint(w, fields.size());
   for (const Field& f : fields) {
-    FieldRec fr;
-    fr.key = strings_.intern(f.key());
-    fr.kind = f.kind();
-    switch (f.kind()) {
-      case Field::Kind::kU64: fr.bits = f.u64(); break;
-      case Field::Kind::kI64:
-        fr.bits = std::bit_cast<std::uint64_t>(f.i64());
-        break;
-      case Field::Kind::kF64:
-        // bit_cast keeps the exact double, so write-time to_chars renders
-        // the same bytes Field::append_value would have.
-        fr.bits = std::bit_cast<std::uint64_t>(f.f64());
-        break;
-      case Field::Kind::kBool: fr.bits = f.boolean() ? 1 : 0; break;
-      case Field::Kind::kStr: fr.bits = strings_.intern(f.str()); break;
-    }
-    fields_.push_back(fr);
+    const StrId key = strings_.intern(f.key());
+    w = put_field(w, FieldRec{key, f.kind(), field_bits(f)});
   }
-  recs_.push_back(rec);
+  commit(hole, w);
   return id;
 }
 
 void TraceSink::append(TraceSink&& other) {
-  // Appended records' ids shift by the current size; their span/cause
-  // references are job-local ids and must shift with them.  Drops only ever
-  // occur at the tail (size never shrinks), and references only point
-  // backwards, so a kept record can never reference a dropped one.
-  const EventId offset = recs_.size();
   // The jobs interned independently, so other's string ids are meaningless
   // here: re-intern by content once and remap.
   std::vector<StrId> remap(other.strings_.size());
   for (std::size_t i = 0; i < other.strings_.size(); ++i) {
     remap[i] = strings_.intern(other.strings_.name(static_cast<StrId>(i)));
   }
-  for (std::size_t r = 0; r < other.recs_.size(); ++r) {
-    const Rec& src = other.recs_[r];
-    if (recs_.size() >= max_events_) {
+  // Drops only ever occur at the tail (size never shrinks), and references
+  // only point backwards, so a kept record can never reference a dropped
+  // one; and a kept record's deltas to them do not change with the shift.
+  std::uint64_t t = 0;
+  for_each_record(other.chunks_, [&](const RecordHead& h) {
+    t += h.dt;
+    if (count_ >= max_events_) {
       ++dropped_;
-      continue;
+      return;
     }
-    Rec rec = src;
-    if (rec.span != kNoEvent) rec.span += offset;
-    if (rec.cause != kNoEvent) rec.cause += offset;
-    rec.component = remap[rec.component];
-    rec.event = remap[rec.event];
-    rec.field_begin = static_cast<std::uint32_t>(fields_.size());
-    for (std::uint32_t i = 0; i < src.field_count; ++i) {
-      FieldRec fr = other.fields_[src.field_begin + i];
-      fr.key = remap[fr.key];
-      if (fr.kind == Field::Kind::kStr) {
-        fr.bits = remap[static_cast<StrId>(fr.bits)];
-      }
-      fields_.push_back(fr);
+    std::uint8_t* const hole = reserve(max_record_bytes(h.field_count));
+    std::uint8_t* w = put_time(hole + 1, t);
+    *w++ = h.refs;
+    if ((h.refs & 1) != 0) w = put_varint(w, h.span_delta);
+    if ((h.refs & 2) != 0) w = put_varint(w, h.cause_delta);
+    w = put_varint(w, remap[h.component]);
+    w = put_varint(w, remap[h.event]);
+    w = put_varint(w, h.field_count);
+    const std::uint8_t* p = h.fields;
+    for (std::uint64_t i = 0; i < h.field_count; ++i) {
+      FieldRec f = get_field(p);
+      f.key = remap[f.key];
+      if (f.kind == Field::Kind::kStr) f.bits = remap[f.bits];
+      w = put_field(w, f);
     }
-    recs_.push_back(rec);
-  }
+    commit(hole, w);
+  });
   dropped_ += other.dropped_;
-  other.recs_.clear();
-  other.fields_.clear();
+  other.chunks_.clear();
   other.strings_.clear();
+  other.count_ = 0;
+  other.last_t_ = 0;
   other.dropped_ = 0;
-}
-
-void TraceSink::append_field_value(std::string& out, const FieldRec& f) const {
-  switch (f.kind) {
-    case Field::Kind::kU64: append_u64(out, f.bits); break;
-    case Field::Kind::kI64:
-      append_i64(out, std::bit_cast<std::int64_t>(f.bits));
-      break;
-    case Field::Kind::kF64:
-      append_json_double(out, std::bit_cast<double>(f.bits));
-      break;
-    case Field::Kind::kBool: out += f.bits != 0 ? "true" : "false"; break;
-    case Field::Kind::kStr:
-      append_json_string(out, strings_.name(static_cast<StrId>(f.bits)));
-      break;
-  }
 }
 
 void TraceSink::write_jsonl(std::ostream& out) const {
   std::string buf;
-  std::uint64_t seq = 0;
-  for (std::size_t r = 0; r < recs_.size(); ++r) {
-    const Rec& rec = recs_[r];
+  const auto flush = [&out, &buf] {
+    out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
     buf.clear();
+  };
+  std::uint64_t t = 0;
+  std::uint64_t seq = 0;
+  for_each_record(chunks_, [&](const RecordHead& h) {
+    t += h.dt;
     buf += "{\"t\":";
-    append_u64(buf, rec.t);
+    append_u64(buf, t);
     buf += ",\"seq\":";
-    append_u64(buf, seq++);
-    if (rec.span != kNoEvent) {
+    append_u64(buf, seq);
+    if ((h.refs & 1) != 0) {
       buf += ",\"span\":";
-      append_u64(buf, rec.span);
+      append_u64(buf, seq - h.span_delta);
     }
-    if (rec.cause != kNoEvent) {
+    if ((h.refs & 2) != 0) {
       buf += ",\"cause\":";
-      append_u64(buf, rec.cause);
+      append_u64(buf, seq - h.cause_delta);
     }
     buf += ",\"component\":";
-    append_json_string(buf, strings_.name(rec.component));
+    append_json_string(buf, strings_.name(static_cast<StrId>(h.component)));
     buf += ",\"event\":";
-    append_json_string(buf, strings_.name(rec.event));
-    for (std::uint32_t i = 0; i < rec.field_count; ++i) {
-      const FieldRec& f = fields_[rec.field_begin + i];
+    append_json_string(buf, strings_.name(static_cast<StrId>(h.event)));
+    const std::uint8_t* p = h.fields;
+    for (std::uint64_t i = 0; i < h.field_count; ++i) {
+      const FieldRec f = get_field(p);
       buf.push_back(',');
-      append_json_string(buf, strings_.name(f.key));
+      append_json_string(buf, strings_.name(static_cast<StrId>(f.key)));
       buf.push_back(':');
-      append_field_value(buf, f);
+      switch (f.kind) {
+        case Field::Kind::kU64: append_u64(buf, f.bits); break;
+        case Field::Kind::kI64:
+          append_i64(buf, std::bit_cast<std::int64_t>(f.bits));
+          break;
+        case Field::Kind::kF64:
+          append_json_double(buf, std::bit_cast<double>(f.bits));
+          break;
+        case Field::Kind::kBool: buf += f.bits != 0 ? "true" : "false"; break;
+        case Field::Kind::kStr:
+          append_json_string(buf, strings_.name(static_cast<StrId>(f.bits)));
+          break;
+      }
     }
     buf += "}\n";
-    out << buf;
-  }
+    ++seq;
+    if (buf.size() >= kChunkBytes) flush();
+  });
   if (dropped_ > 0) {
-    buf.clear();
     buf += "{\"t\":";
-    append_u64(buf, recs_.empty() ? 0 : recs_.back().t);
+    append_u64(buf, last_t_);
     buf += ",\"seq\":";
     append_u64(buf, seq);
     buf += ",\"component\":\"trace\",\"event\":\"truncated\",\"dropped\":";
     append_u64(buf, dropped_);
     buf += "}\n";
-    out << buf;
   }
+  flush();
 }
 
 std::string TraceSink::jsonl() const {
@@ -243,20 +419,12 @@ std::string TraceSink::jsonl() const {
 //   varint string_count, then per string: varint length + raw bytes
 //   varint record_count
 //   varint dropped                 (reader synthesizes the truncated record)
-//   per record: varint body_length, then the body:
-//     varint zigzag(t - prev_t)    (prev_t starts at 0)
-//     u8 ref_flags                 (bit0 span present, bit1 cause present)
-//     varint seq - span            (if bit0; refs point strictly backwards)
-//     varint seq - cause           (if bit1)
-//     varint component_id
-//     varint event_id
-//     varint field_count
-//     per field: varint key_id, u8 kind, value:
-//       kU64 varint | kI64 varint zigzag | kF64 8 raw LE bytes |
-//       kBool u8 | kStr varint string_id
+//   per record: varint body_length, then the body (see emit())
 //
 // Everything is position-independent of host endianness and word size; the
-// length prefix lets a reader skip records it does not understand.
+// length prefix lets a reader skip records it does not understand.  The
+// records are buffered in this form already, so they are copied out as
+// they are.
 void TraceSink::write_binary(std::ostream& out) const {
   std::string buf;
   buf.append(kTraceBinaryMagic, sizeof(kTraceBinaryMagic));
@@ -268,55 +436,13 @@ void TraceSink::write_binary(std::ostream& out) const {
     put_varint(buf, s.size());
     buf += s;
   }
-  put_varint(buf, recs_.size());
+  put_varint(buf, count_);
   put_varint(buf, dropped_);
-
-  std::string body;
-  std::uint64_t prev_t = 0;
-  std::uint64_t seq = 0;
-  for (std::size_t r = 0; r < recs_.size(); ++r) {
-    const Rec& rec = recs_[r];
-    body.clear();
-    put_varint(body, zigzag(static_cast<std::int64_t>(rec.t - prev_t)));
-    prev_t = rec.t;
-    const bool has_span = rec.span != kNoEvent;
-    const bool has_cause = rec.cause != kNoEvent;
-    body.push_back(static_cast<char>((has_span ? 1 : 0) |
-                                     (has_cause ? 2 : 0)));
-    if (has_span) put_varint(body, seq - rec.span);
-    if (has_cause) put_varint(body, seq - rec.cause);
-    put_varint(body, rec.component);
-    put_varint(body, rec.event);
-    put_varint(body, rec.field_count);
-    for (std::uint32_t i = 0; i < rec.field_count; ++i) {
-      const FieldRec& f = fields_[rec.field_begin + i];
-      put_varint(body, f.key);
-      body.push_back(static_cast<char>(f.kind));
-      switch (f.kind) {
-        case Field::Kind::kU64: put_varint(body, f.bits); break;
-        case Field::Kind::kI64:
-          put_varint(body, zigzag(std::bit_cast<std::int64_t>(f.bits)));
-          break;
-        case Field::Kind::kF64:
-          for (int b = 0; b < 8; ++b) {
-            body.push_back(static_cast<char>((f.bits >> (8 * b)) & 0xFFu));
-          }
-          break;
-        case Field::Kind::kBool:
-          body.push_back(static_cast<char>(f.bits != 0 ? 1 : 0));
-          break;
-        case Field::Kind::kStr: put_varint(body, f.bits); break;
-      }
-    }
-    put_varint(buf, body.size());
-    buf += body;
-    ++seq;
-    if (buf.size() >= (1u << 20)) {
-      out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-      buf.clear();
-    }
-  }
   out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+  for (const Chunk& chunk : chunks_) {
+    out.write(reinterpret_cast<const char*>(chunk.bytes.get()),
+              static_cast<std::streamsize>(chunk.size));
+  }
 }
 
 std::string TraceSink::binary() const {

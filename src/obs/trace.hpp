@@ -3,19 +3,20 @@
 // and adaptation decision can leave a machine-readable record of *why* the
 // system acted, keyed by simulated time.
 //
-// Events are buffered as compact typed records over a string-interning
-// table — component/event names, field keys, and string values are stored
-// once and referenced by dense id, field values as raw 64-bit payloads — and
-// serialized with a globally consistent `seq` only at write time, so per-job
-// sinks produced by the parallel campaign runner can be appended in job
-// order and the merged file is bit-identical for any AFT_THREADS value, in
-// either output format:
+// Each event is encoded at emit() time, straight into its final "AFTB"
+// record form (docs/observability.md): strings — component/event names,
+// field keys, string values — are interned once into a dense id table and
+// the record holds varint ids, a time delta and backward span/cause deltas.
+// The records sit in 1 MiB byte chunks, so memory tracks the on-disk bytes.
+// `seq` is implicit (record position), so per-job sinks produced by the
+// parallel campaign runner can be appended in job order and the merged file
+// is bit-identical for any AFT_THREADS value, in either output format:
 //
 //   write_jsonl()  — one JSON object per line, human-greppable (the format
-//                    every pinned byte-level test speaks);
-//   write_binary() — the "AFTB" length-prefixed varint format documented in
-//                    docs/observability.md: the same records at a fraction
-//                    of the bytes and none of the JSON formatting cost.
+//                    every pinned byte-level test speaks), decoded from the
+//                    buffered records;
+//   write_binary() — the AFTB format itself: header and string table, then
+//                    a copy of the buffered records.
 //
 // Causality plane (Sect. 3.2's reflective DAG made auditable): every event
 // carries two optional back-references, both expressed as event ids:
@@ -31,10 +32,10 @@
 //           continuations inherit the provenance of whatever scheduled them.
 //
 // Event ids ARE the final `seq` values: emit() returns the index the record
-// will serialize with, and append() rebases span/cause references by the
-// merge offset, so `aft_trace why <seq>` works on merged campaign output.
-// Both planes only ever reference *earlier* events; the binary format
-// encodes them as backward deltas and relies on that invariant.
+// will serialize with.  Both planes only ever reference *earlier* events and
+// are stored as backward deltas from the record's own position, so they are
+// final at emit() and stay valid when append() shifts a job's records by
+// the merge offset: `aft_trace why <seq>` works on merged campaign output.
 //
 // Hot-path cost model: instrumentation sites go through the AFT_TRACE macro
 // (obs.hpp), which is a thread-local load + branch when no sink is installed
@@ -45,11 +46,11 @@
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "util/chunked.hpp"
 #include "util/interner.hpp"
 
 namespace aft::obs {
@@ -66,29 +67,33 @@ inline constexpr char kTraceBinaryMagic[4] = {'A', 'F', 'T', 'B'};
 inline constexpr std::uint8_t kTraceBinaryVersion = 1;
 
 /// One key/value pair of a trace event.  Values are copied/interned at
-/// emit() time, so string views only need to outlive the emit call.
+/// emit() time, so string views only need to outlive the emit call.  Keys
+/// are literals: their length is taken where the Field is built, where the
+/// compiler folds it.
 class Field {
  public:
   enum class Kind : std::uint8_t { kU64, kI64, kF64, kBool, kStr };
 
   constexpr Field(const char* key, std::uint64_t v) noexcept
-      : key_(key), kind_(Kind::kU64) { u64_ = v; }
+      : Field(key, Kind::kU64) { u64_ = v; }
   constexpr Field(const char* key, std::int64_t v) noexcept
-      : key_(key), kind_(Kind::kI64) { i64_ = v; }
+      : Field(key, Kind::kI64) { i64_ = v; }
   constexpr Field(const char* key, unsigned v) noexcept
       : Field(key, static_cast<std::uint64_t>(v)) {}
   constexpr Field(const char* key, int v) noexcept
       : Field(key, static_cast<std::int64_t>(v)) {}
   constexpr Field(const char* key, double v) noexcept
-      : key_(key), kind_(Kind::kF64) { f64_ = v; }
+      : Field(key, Kind::kF64) { f64_ = v; }
   constexpr Field(const char* key, bool v) noexcept
-      : key_(key), kind_(Kind::kBool) { b_ = v; }
+      : Field(key, Kind::kBool) { b_ = v; }
   constexpr Field(const char* key, std::string_view v) noexcept
-      : key_(key), kind_(Kind::kStr) { str_ = v; }
+      : Field(key, Kind::kStr) { str_ = v; }
   constexpr Field(const char* key, const char* v) noexcept
       : Field(key, std::string_view(v)) {}
 
-  [[nodiscard]] constexpr const char* key() const noexcept { return key_; }
+  [[nodiscard]] constexpr std::string_view key() const noexcept {
+    return {key_, key_size_};
+  }
   [[nodiscard]] constexpr Kind kind() const noexcept { return kind_; }
   [[nodiscard]] constexpr std::uint64_t u64() const noexcept { return u64_; }
   [[nodiscard]] constexpr std::int64_t i64() const noexcept { return i64_; }
@@ -102,7 +107,14 @@ class Field {
   void append_value(std::string& out) const;
 
  private:
+  constexpr Field(const char* key, Kind kind) noexcept
+      : key_(key),
+        key_size_(static_cast<std::uint32_t>(
+            std::char_traits<char>::length(key))),
+        kind_(kind) {}
+
   const char* key_;
+  std::uint32_t key_size_;
   Kind kind_;
   union {
     std::uint64_t u64_;
@@ -156,16 +168,16 @@ class TraceSink {
   EventId emit(std::string_view component, std::string_view event,
                std::initializer_list<Field> fields = {});
 
-  [[nodiscard]] std::size_t size() const noexcept { return recs_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return recs_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return count_; }
+  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
 
   /// Moves `other`'s events to the end of this sink (campaign merge: called
   /// once per job, in job-index order, so the result is thread-count
-  /// independent).  `other`'s span/cause references are rebased by this
-  /// sink's current size and its interned strings are re-interned here,
-  /// keeping every reference valid in the merged file.  `other` is left
-  /// empty.
+  /// independent).  `other`'s records are re-encoded here: its interned
+  /// strings are re-interned by content and its first time delta re-based;
+  /// span/cause deltas are relative to position and carry over as they
+  /// are.  `other` is left empty.
   void append(TraceSink&& other);
 
   /// Serializes all events as JSON Lines; `seq` is assigned here, in event
@@ -175,46 +187,49 @@ class TraceSink {
   [[nodiscard]] std::string jsonl() const;
 
   /// Serializes the same events in the compact "AFTB" binary format:
-  /// string table up front, then length-prefixed records with varint-coded
-  /// interned ids, delta-coded times, and backward-delta span/cause refs.
-  /// tools/trace_reader decodes both formats to identical event sequences.
+  /// string table up front, then the buffered length-prefixed records with
+  /// varint-coded interned ids, delta-coded times, and backward-delta
+  /// span/cause refs.  tools/trace_reader decodes both formats to identical
+  /// event sequences.
   void write_binary(std::ostream& out) const;
   [[nodiscard]] std::string binary() const;
 
   static constexpr std::size_t kDefaultMaxEvents = 1u << 22;
 
+  /// Size of one record chunk.  A record never straddles two chunks; one
+  /// larger than this gets a chunk of its own.
+  static constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
+
  private:
   using StrId = util::StringInterner::Id;
 
-  /// One emitted event; fields live in the shared fields_ arena.
-  struct Rec {
-    std::uint64_t t;
-    EventId span;
-    EventId cause;
-    StrId component;
-    StrId event;
-    std::uint32_t field_begin;
-    std::uint32_t field_count;
+  /// Encoded records, back to back: varint body_length + body each.
+  struct Chunk {
+    std::unique_ptr<std::uint8_t[]> bytes;
+    std::size_t size = 0;
+    std::size_t capacity = 0;
   };
 
-  /// One field: interned key + type tag + raw 64-bit value payload
-  /// (u64 as-is; i64/f64 bit_cast; bool 0/1; str = interned id).
-  struct FieldRec {
-    StrId key;
-    Field::Kind kind;
-    std::uint64_t bits;
-  };
+  /// Where the next record goes, with at least `max_bytes` free behind it.
+  std::uint8_t* reserve(std::size_t max_bytes);
+  /// Writes the length prefix of the body in [hole + 1, body_end) into the
+  /// one-byte hole reserve() returned, and counts the record.
+  void commit(std::uint8_t* hole, const std::uint8_t* body_end);
+  /// Encodes a record's time delta against the last kept record.
+  std::uint8_t* put_time(std::uint8_t* w, std::uint64_t t);
+  /// `f`'s value as a raw 64-bit payload (u64 as-is; i64/f64 bit_cast;
+  /// bool 0/1; a string interned, as its id).
+  [[nodiscard]] std::uint64_t field_bits(const Field& f);
 
-  void append_field_value(std::string& out, const FieldRec& f) const;
-
-  // Chunked, not flat vectors: emit() is on the simulation hot path, and at
-  // million-record scale vector doublings memcpy the whole table and fault
-  // in fresh pages mid-measurement (see util/chunked.hpp).
-  util::ChunkedVector<Rec> recs_;
-  util::ChunkedVector<FieldRec> fields_;
+  // Chunked, not one flat buffer: emit() is on the simulation hot path, and
+  // at million-record scale buffer doublings would memcpy the whole trace
+  // and fault in fresh pages mid-measurement.
+  std::vector<Chunk> chunks_;
   util::StringInterner strings_;
+  std::size_t count_ = 0;
   std::size_t max_events_;
   std::uint64_t time_ = 0;
+  std::uint64_t last_t_ = 0;  ///< t of the last kept record (0 before any)
   EventId cause_ = kNoEvent;
   EventId span_ = kNoEvent;
   std::uint64_t dropped_ = 0;

@@ -182,6 +182,25 @@ TEST(TraceReaderTest, CorruptBinaryIsRejectedNotMisread) {
   EXPECT_NE(error.find("bad cause ref"), std::string::npos);
 }
 
+TEST(TraceReaderTest, LengthsNearTwoToTheSixtyFourAreRejectedNotWrapped) {
+  // A varint length of 2^64 - 1 must not wrap the bounds check around to a
+  // small end offset.  String table: count 2, the first string's length is
+  // 2^64 - 1, followed by three bytes.
+  const std::string huge("\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01", 10);
+  const std::string bad_string = std::string("AFTB\x01\x00\x02", 7) + huge +
+                                 std::string("\x78\x00\x00", 3);
+  std::string error;
+  EXPECT_FALSE(aft::tools::parse_trace_data(bad_string, error).has_value());
+  EXPECT_NE(error.find("corrupt binary trace"), std::string::npos) << error;
+
+  // The same length as a record body: no strings, one record, no drops.
+  const std::string bad_body = std::string("AFTB\x01\x00\x00\x01\x00", 9) +
+                               huge + std::string("\x00\x00", 2);
+  error.clear();
+  EXPECT_FALSE(aft::tools::parse_trace_data(bad_body, error).has_value());
+  EXPECT_NE(error.find("corrupt binary trace"), std::string::npos) << error;
+}
+
 TEST(TraceReaderTest, LoadTraceSniffsBinaryFilesByMagic) {
   TraceSink sink;
   sink.set_time(4);

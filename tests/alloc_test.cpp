@@ -36,11 +36,13 @@
 #include "net/link.hpp"
 #include "net/membership.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "vote/voting_farm.hpp"
 
 namespace {
-std::uint64_t g_news = 0;  // single-threaded tests; plain counter suffices
+std::uint64_t g_news = 0;  // single-threaded tests; plain counters suffice
+std::uint64_t g_new_bytes = 0;
 }  // namespace
 
 // Out of line, all of them: GCC 12 reports -Wmismatched-new-delete
@@ -48,6 +50,7 @@ std::uint64_t g_news = 0;  // single-threaded tests; plain counter suffices
 // not the other.
 [[gnu::noinline]] void* operator new(std::size_t size) {
   ++g_news;
+  g_new_bytes += size;
   if (size == 0) size = 1;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
@@ -512,6 +515,31 @@ TEST(AllocTest, OpenLoopTrafficSteadyStateIsAllocationFree) {
   // admission sheds.
   EXPECT_GT(service.counters().rounds, rounds_before);
   EXPECT_GT(service.counters().shed, shed_before);
+}
+
+TEST(AllocTest, TraceSinkBuffersRecordsAtTheirEncodedSize) {
+  // A trace sink's memory tracks its file: 100k link-send-shaped records
+  // may take at most twice their AFTB bytes plus one record chunk.  A sink
+  // that buffered a struct per record and a struct per field would need
+  // several times that.
+  static const std::string kLink = "coord->replica-0";
+  {
+    aft::obs::TraceSink warm;  // the thread's flight recorder, for one
+    warm.emit("net.link", "send");
+  }
+  aft::obs::TraceSink sink;
+  constexpr std::uint64_t kRecords = 100000;
+  const std::uint64_t before = g_new_bytes;
+  for (std::uint64_t i = 0; i < kRecords; ++i) {
+    sink.set_time(i);
+    sink.emit("net.link", "send",
+              {{"link", kLink}, {"kind", "request"}, {"id", i}});
+  }
+  const std::uint64_t bytes = g_new_bytes - before;
+  const std::size_t encoded = sink.binary().size();
+  EXPECT_EQ(sink.size(), kRecords);
+  EXPECT_LE(bytes, 2 * encoded + aft::obs::TraceSink::kChunkBytes)
+      << bytes << " bytes allocated for " << encoded << " encoded";
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Tests for the observability layer: JSONL trace shape, deterministic seq
-// assignment, merge order, metrics JSON export, and the thread-local
-// install/uninstall discipline the instrumentation macros rely on.
+// assignment, merge order, the sink's encoded record buffer, metrics JSON
+// export, and the thread-local install/uninstall discipline the
+// instrumentation macros rely on.
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -16,6 +18,8 @@
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
+#include "trace_analysis.hpp"
+#include "trace_reader.hpp"
 
 namespace {
 
@@ -161,6 +165,154 @@ TEST(TraceSinkTest, AppendedSinksSerializeIdenticallyToDirectEmission) {
 
   EXPECT_EQ(merged.jsonl(), direct.jsonl());
   EXPECT_EQ(merged.binary(), direct.binary());
+}
+
+// --- The encoded record buffer ---------------------------------------------
+//
+// The sink keeps its records as AFTB bytes and renders JSONL from them, so
+// each test checks that the binary file, decoded by tools/trace_reader,
+// says exactly what the sink's JSONL says.
+
+void expect_binary_decodes_to_jsonl(const TraceSink& sink) {
+  std::string error;
+  const auto from_jsonl = aft::tools::parse_trace_data(sink.jsonl(), error);
+  ASSERT_TRUE(from_jsonl.has_value()) << error;
+  const auto from_binary = aft::tools::parse_trace_data(sink.binary(), error);
+  ASSERT_TRUE(from_binary.has_value()) << error;
+  ASSERT_EQ(from_binary->events.size(), from_jsonl->events.size());
+  EXPECT_EQ(from_binary->dropped, from_jsonl->dropped);
+  for (std::size_t i = 0; i < from_jsonl->events.size(); ++i) {
+    ASSERT_EQ(from_jsonl->events[i].seq, i);
+    ASSERT_EQ(from_binary->events[i].seq, i);
+  }
+  const auto diff =
+      aft::tools::diff_traces(*from_jsonl, *from_binary, "jsonl", "binary");
+  EXPECT_TRUE(diff.identical) << diff.report;
+}
+
+TEST(TraceBufferTest, RecordOfAtLeast128BytesTakesAMultiByteLengthPrefix) {
+  TraceSink sink;
+  sink.set_time(5);
+  sink.emit("c", "short", {{"k", 1u}});
+  constexpr std::uint64_t kBig = ~std::uint64_t{0};
+  sink.emit("c", "long",
+            {{"a", kBig}, {"b", kBig}, {"c", kBig}, {"d", kBig}, {"e", kBig},
+             {"f", kBig}, {"g", kBig}, {"h", kBig}, {"i", kBig}, {"j", kBig},
+             {"k", kBig}, {"l", kBig}});
+  sink.set_time(6);
+  sink.emit("c", "after", {{"k", 2u}});
+  const std::string bin = sink.binary();
+  // Header (6) + string table + count + dropped; the long record's body is
+  // 12 fields of key, kind and a 10-byte varint, so its prefix is 2 bytes.
+  EXPECT_GT(bin.size(), 12u * 12u + 2u);
+  expect_binary_decodes_to_jsonl(sink);
+  const auto lines = lines_of(sink.jsonl());
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_NE(lines[1].find(R"("l":18446744073709551615})"), std::string::npos);
+  EXPECT_EQ(lines[2],
+            R"({"t":6,"seq":2,"component":"c","event":"after","k":2})");
+}
+
+TEST(TraceBufferTest, RecordsPastTheChunkBoundaryStayWhole) {
+  TraceSink sink;
+  std::size_t n = 0;
+  while (sink.binary().size() < 2 * TraceSink::kChunkBytes + 4096) {
+    for (int i = 0; i < 20000; ++i, ++n) {
+      sink.set_time(n / 3);
+      sink.set_cause(n % 7 == 0 ? aft::obs::kNoEvent : n - 1);
+      sink.emit("net.link", "send",
+                {{"link", "coord->replica-0"},
+                 {"id", std::uint64_t{n} * 0x10001},
+                 {"odd", n % 2 == 1}});
+    }
+  }
+  EXPECT_EQ(sink.size(), n);
+  expect_binary_decodes_to_jsonl(sink);
+  const auto lines = lines_of(sink.jsonl());
+  ASSERT_EQ(lines.size(), n);
+  EXPECT_NE(lines.back().find("\"seq\":" + std::to_string(n - 1)),
+            std::string::npos);
+}
+
+TEST(TraceBufferTest, AppendOfDisjointTablesIntoTheCapKeepsTheLastKeptTime) {
+  const auto emit_job0 = [](TraceSink& s) {
+    s.set_time(10);
+    const aft::obs::EventId a = s.emit("job0", "start", {{"who", "alpha"}});
+    s.set_cause(a);
+    s.set_time(12);
+    s.emit("job0", "step", {{"n", 1}});
+    s.set_cause(aft::obs::kNoEvent);
+  };
+  const auto emit_job1 = [](TraceSink& s) {
+    s.set_time(20);
+    const aft::obs::EventId b = s.emit("job1", "begin", {{"whom", "beta"}});
+    s.set_span(b);
+    s.set_time(25);
+    s.emit("job1", "kept", {{"x", 2.5}});
+    s.set_time(30);
+    s.emit("job1", "dropped", {{"y", "gamma"}});
+    s.set_time(40);
+    s.emit("job1", "dropped", {{"y", "delta"}});
+    s.set_span(aft::obs::kNoEvent);
+  };
+
+  constexpr std::size_t kCap = 4;
+  TraceSink direct(kCap);
+  emit_job0(direct);
+  emit_job1(direct);
+
+  TraceSink job0;
+  emit_job0(job0);
+  TraceSink job1;
+  emit_job1(job1);
+  TraceSink merged(kCap);
+  merged.append(std::move(job0));
+  merged.append(std::move(job1));
+
+  EXPECT_EQ(merged.size(), kCap);
+  EXPECT_EQ(merged.dropped(), 2u);
+  EXPECT_TRUE(job1.empty());  // NOLINT(bugprone-use-after-move): documented
+  // append() re-interns all of job1's strings, those of its dropped records
+  // too, so only the records, not the string tables, match direct emission.
+  EXPECT_EQ(merged.jsonl(), direct.jsonl());
+  expect_binary_decodes_to_jsonl(merged);
+  expect_binary_decodes_to_jsonl(direct);
+  const auto lines = lines_of(merged.jsonl());
+  ASSERT_EQ(lines.size(), kCap + 1);
+  EXPECT_EQ(lines[3],
+            R"({"t":25,"seq":3,"span":2,"component":"job1","event":"kept","x":2.5})");
+  // The footer carries the time of the last kept record, not of a dropped
+  // one.
+  EXPECT_EQ(lines[4],
+            R"({"t":25,"seq":4,"component":"trace","event":"truncated","dropped":2})");
+}
+
+TEST(TraceBufferTest, AllFiveFieldKindsRoundTrip) {
+  TraceSink sink;
+  sink.set_time(~std::uint64_t{0} - 1);  // a time delta near 2^64
+  sink.emit("c", "kinds",
+            {{"u", std::uint64_t{0}},
+             {"u_max", ~std::uint64_t{0}},
+             {"i", std::int64_t{-1}},
+             {"i_min", std::int64_t{INT64_MIN}},
+             {"f", -0.1},
+             {"f_nan", std::nan("")},
+             {"f_inf", 1.0 / 0.0},
+             {"yes", true},
+             {"no", false},
+             {"s", "quote\" and \x01 control"},
+             {"empty", ""}});
+  sink.set_time(3);  // and a negative one
+  sink.emit("c", "back", {{"s", "quote\" and \x01 control"}});
+  expect_binary_decodes_to_jsonl(sink);
+  const std::string line = lines_of(sink.jsonl()).at(0);
+  EXPECT_NE(line.find(R"("i_min":-9223372036854775808)"), std::string::npos);
+  EXPECT_NE(line.find(R"("f":-0.1)"), std::string::npos);
+  EXPECT_NE(line.find(R"("f_nan":"nan")"), std::string::npos);
+  EXPECT_NE(line.find(R"("f_inf":"inf")"), std::string::npos);
+  EXPECT_NE(line.find(R"("yes":true,"no":false)"), std::string::npos);
+  EXPECT_NE(line.find(R"("s":"quote\" and \u0001 control","empty":"")"),
+            std::string::npos);
 }
 
 TEST(MetricsRegistryTest, CountersGaugesAndStats) {

@@ -1,16 +1,23 @@
 // Unit tests for the util substrate: RNG, histogram, statistics, ring
-// buffer, and text tables.
+// buffer, text tables, and the string interner.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/histogram.hpp"
+#include "util/interner.hpp"
 #include "util/log_histogram.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -22,6 +29,7 @@ using aft::util::Histogram;
 using aft::util::LogHistogram;
 using aft::util::RunningStats;
 using aft::util::SplitMix64;
+using aft::util::StringInterner;
 using aft::util::TextTable;
 using aft::util::Xoshiro256;
 
@@ -483,6 +491,87 @@ TEST(LogHistogramTest, ResetClearsEverything) {
   h.add(std::uint64_t{99});
   h.reset();
   EXPECT_TRUE(h == LogHistogram{});
+}
+
+// --- StringInterner --------------------------------------------------------
+
+TEST(StringInternerTest, IdsAreDenseInFirstSeenOrder) {
+  StringInterner in;
+  EXPECT_EQ(in.intern("b"), 0u);
+  EXPECT_EQ(in.intern("a"), 1u);
+  EXPECT_EQ(in.intern("b"), 0u);
+  EXPECT_EQ(in.intern(std::string("c")), 2u);
+  EXPECT_EQ(in.size(), 3u);
+  EXPECT_EQ(in.name(0), "b");
+  EXPECT_EQ(in.name(1), "a");
+  EXPECT_EQ(in.name(2), "c");
+}
+
+TEST(StringInternerTest, FindNeverInterns) {
+  StringInterner in;
+  EXPECT_EQ(in.find("x"), StringInterner::kNone);
+  EXPECT_EQ(in.size(), 0u);
+  const StringInterner::Id id = in.intern("x");
+  EXPECT_EQ(in.find("x"), id);
+  EXPECT_EQ(in.find("y"), StringInterner::kNone);
+  EXPECT_EQ(in.size(), 1u);
+}
+
+TEST(StringInternerTest, ReusedBufferWithNewContentGetsItsOwnId) {
+  // Same address, same length, new bytes: the pointer cache must not hand
+  // back the id of what the buffer held before.
+  StringInterner in;
+  char buf[8] = "alpha";
+  const std::string_view view(buf, 5);
+  EXPECT_EQ(in.intern(view), 0u);
+  std::memcpy(buf, "omega", 5);
+  EXPECT_EQ(in.intern(view), 1u);
+  EXPECT_EQ(in.name(1), "omega");
+  std::memcpy(buf, "alpha", 5);
+  EXPECT_EQ(in.intern(view), 0u);
+}
+
+TEST(StringInternerTest, PackedKeysRoundTripAndSpreadOverTheCache) {
+  // Literals of one call site sit next to each other in memory.  64 keys
+  // four bytes apart must not crowd into a few cache slots.
+  static char packed[64 * 4];
+  for (int i = 0; i < 64; ++i) {
+    std::snprintf(packed + 4 * i, 4, "k%02d", i);
+  }
+  StringInterner in;
+  std::set<std::size_t> slots;
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 64; ++i) {
+      const std::string_view key(packed + 4 * i, 3);
+      const StringInterner::Id id = in.intern(key);
+      EXPECT_EQ(id, static_cast<StringInterner::Id>(i));
+      EXPECT_EQ(in.name(id), key);
+      slots.insert(StringInterner::cache_slot(
+          reinterpret_cast<std::uintptr_t>(key.data())));
+    }
+  }
+  EXPECT_EQ(in.size(), 64u);
+  EXPECT_GE(slots.size(), 48u);
+  for (const std::size_t slot : slots) {
+    EXPECT_LT(slot, StringInterner::kCacheSlots);
+  }
+}
+
+TEST(StringInternerTest, MovesKeepNamesAndCopiesAreDeleted) {
+  static_assert(!std::is_copy_constructible_v<StringInterner>);
+  static_assert(!std::is_copy_assignable_v<StringInterner>);
+  static_assert(std::is_move_constructible_v<StringInterner>);
+  static_assert(std::is_move_assignable_v<StringInterner>);
+  StringInterner a;
+  a.intern("one");
+  a.intern("two");
+  StringInterner b(std::move(a));
+  EXPECT_EQ(b.name(1), "two");
+  EXPECT_EQ(b.intern("one"), 0u);
+  StringInterner c;
+  c = std::move(b);
+  EXPECT_EQ(c.name(0), "one");
+  EXPECT_EQ(c.intern("three"), 2u);
 }
 
 }  // namespace

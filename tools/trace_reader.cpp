@@ -206,7 +206,7 @@ class BinaryParser {
     strings_.reserve(string_count);
     for (std::uint64_t i = 0; i < string_count; ++i) {
       std::uint64_t len = 0;
-      if (!get_varint(len) || pos_ + len > s_.size()) {
+      if (!get_varint(len) || len > s_.size() - pos_) {
         return fail("truncated string table");
       }
       strings_.emplace_back(s_.substr(pos_, len));
@@ -222,7 +222,7 @@ class BinaryParser {
     std::uint64_t t = 0;
     for (std::uint64_t seq = 0; seq < record_count; ++seq) {
       std::uint64_t body_len = 0;
-      if (!get_varint(body_len) || pos_ + body_len > s_.size()) {
+      if (!get_varint(body_len) || body_len > s_.size() - pos_) {
         return fail("truncated record");
       }
       const std::size_t body_end = pos_ + body_len;
@@ -327,7 +327,7 @@ class BinaryParser {
         return true;
       }
       case 2: {  // f64: 8 raw little-endian bytes
-        if (pos_ + 8 > s_.size()) return fail("truncated f64 field");
+        if (s_.size() - pos_ < 8) return fail("truncated f64 field");
         std::uint64_t bits = 0;
         for (int b = 0; b < 8; ++b) {
           bits |= static_cast<std::uint64_t>(
