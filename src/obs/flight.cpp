@@ -1,6 +1,5 @@
 #include "obs/flight.hpp"
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -10,18 +9,6 @@
 namespace aft::obs {
 
 namespace {
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, res.ptr);
-}
-
-void append_i64(std::string& out, std::int64_t v) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, res.ptr);
-}
 
 /// As a JSON field value: the id itself, or -1 for "none" (keeps dump lines
 /// uniformly numeric and trivially parseable).

@@ -1,11 +1,10 @@
 #include "obs/metrics.hpp"
 
 #include <atomic>
-#include <charconv>
 #include <ostream>
 #include <sstream>
 
-#include "obs/trace.hpp"  // append_json_string / append_json_double
+#include "obs/trace.hpp"  // append_json_string / append_json_double / append_u64
 
 namespace aft::obs {
 
@@ -14,12 +13,6 @@ namespace {
 std::uint64_t next_registry_uid() {
   static std::atomic<std::uint64_t> counter{1};
   return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, res.ptr);
 }
 
 }  // namespace

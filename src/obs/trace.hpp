@@ -4,9 +4,10 @@
 // system acted, keyed by simulated time.
 //
 // Each event is encoded at emit() time, straight into its final "AFTB"
-// record form (docs/observability.md): strings — component/event names,
-// field keys, string values — are interned once into a dense id table and
-// the record holds varint ids, a time delta and backward span/cause deltas.
+// record form (obs/aftb.hpp, the format's one codec): strings —
+// component/event names, field keys, string values — are interned once into
+// a dense id table and the record holds varint ids, a time delta and
+// backward span/cause deltas.
 // The records sit in 1 MiB byte chunks, so memory tracks the on-disk bytes.
 // `seq` is implicit (record position), so per-job sinks produced by the
 // parallel campaign runner can be appended in job order and the merged file
@@ -51,6 +52,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/aftb.hpp"
 #include "util/interner.hpp"
 
 namespace aft::obs {
@@ -62,32 +64,28 @@ using EventId = std::uint64_t;
 /// dropped by the cap.
 inline constexpr EventId kNoEvent = ~EventId{0};
 
-/// Binary trace file preamble: magic + version byte (docs/observability.md).
-inline constexpr char kTraceBinaryMagic[4] = {'A', 'F', 'T', 'B'};
-inline constexpr std::uint8_t kTraceBinaryVersion = 1;
-
 /// One key/value pair of a trace event.  Values are copied/interned at
 /// emit() time, so string views only need to outlive the emit call.  Keys
 /// are literals: their length is taken where the Field is built, where the
 /// compiler folds it.
 class Field {
  public:
-  enum class Kind : std::uint8_t { kU64, kI64, kF64, kBool, kStr };
+  using Kind = aftb::Kind;
 
   constexpr Field(const char* key, std::uint64_t v) noexcept
-      : Field(key, Kind::kU64) { u64_ = v; }
+      : Field(key, Kind::kU64, v) {}
   constexpr Field(const char* key, std::int64_t v) noexcept
-      : Field(key, Kind::kI64) { i64_ = v; }
+      : Field(key, Kind::kI64, std::bit_cast<std::uint64_t>(v)) {}
   constexpr Field(const char* key, unsigned v) noexcept
       : Field(key, static_cast<std::uint64_t>(v)) {}
   constexpr Field(const char* key, int v) noexcept
       : Field(key, static_cast<std::int64_t>(v)) {}
   constexpr Field(const char* key, double v) noexcept
-      : Field(key, Kind::kF64) { f64_ = v; }
+      : Field(key, Kind::kF64, std::bit_cast<std::uint64_t>(v)) {}
   constexpr Field(const char* key, bool v) noexcept
-      : Field(key, Kind::kBool) { b_ = v; }
+      : Field(key, Kind::kBool, v ? 1u : 0u) {}
   constexpr Field(const char* key, std::string_view v) noexcept
-      : Field(key, Kind::kStr) { str_ = v; }
+      : Field(key, Kind::kStr, 0) { str_ = v; }
   constexpr Field(const char* key, const char* v) noexcept
       : Field(key, std::string_view(v)) {}
 
@@ -95,33 +93,24 @@ class Field {
     return {key_, key_size_};
   }
   [[nodiscard]] constexpr Kind kind() const noexcept { return kind_; }
-  [[nodiscard]] constexpr std::uint64_t u64() const noexcept { return u64_; }
-  [[nodiscard]] constexpr std::int64_t i64() const noexcept { return i64_; }
-  [[nodiscard]] constexpr double f64() const noexcept { return f64_; }
-  [[nodiscard]] constexpr bool boolean() const noexcept { return b_; }
+  /// The value as AFTB's raw 64 bits (aftb::FieldBits); 0 for a string.
+  [[nodiscard]] constexpr std::uint64_t bits() const noexcept { return bits_; }
   [[nodiscard]] constexpr std::string_view str() const noexcept {
     return str_;
   }
 
-  /// Appends the JSON rendering of the value to `out`.
-  void append_value(std::string& out) const;
-
  private:
-  constexpr Field(const char* key, Kind kind) noexcept
+  constexpr Field(const char* key, Kind kind, std::uint64_t bits) noexcept
       : key_(key),
         key_size_(static_cast<std::uint32_t>(
             std::char_traits<char>::length(key))),
-        kind_(kind) {}
+        kind_(kind),
+        bits_(bits) {}
 
   const char* key_;
   std::uint32_t key_size_;
   Kind kind_;
-  union {
-    std::uint64_t u64_;
-    std::int64_t i64_;
-    double f64_;
-    bool b_;
-  };
+  std::uint64_t bits_;
   std::string_view str_{};  // only meaningful for Kind::kStr
 };
 
@@ -131,6 +120,11 @@ void append_json_string(std::string& out, std::string_view s);
 /// Appends the shortest round-trip decimal rendering of `v` to `out`
 /// (std::to_chars), so numeric output is locale-independent and stable.
 void append_json_double(std::string& out, double v);
+
+/// Decimal integers, rendered by the same to_chars routine that the trace
+/// tools use for AFTB values (obs/aftb.hpp).
+using aftb::append_i64;
+using aftb::append_u64;
 
 class TraceSink {
  public:
@@ -174,10 +168,11 @@ class TraceSink {
 
   /// Moves `other`'s events to the end of this sink (campaign merge: called
   /// once per job, in job-index order, so the result is thread-count
-  /// independent).  `other`'s records are re-encoded here: its interned
-  /// strings are re-interned by content and its first time delta re-based;
-  /// span/cause deltas are relative to position and carry over as they
-  /// are.  `other` is left empty.
+  /// independent).  `other`'s records are re-encoded here: its strings are
+  /// re-interned by content at their first use by a kept record, so the
+  /// bytes equal emitting the same events here, and its first time delta
+  /// is re-based; span/cause deltas are relative to position and carry over
+  /// as they are.  `other` is left empty.
   void append(TraceSink&& other);
 
   /// Serializes all events as JSON Lines; `seq` is assigned here, in event
@@ -217,9 +212,6 @@ class TraceSink {
   void commit(std::uint8_t* hole, const std::uint8_t* body_end);
   /// Encodes a record's time delta against the last kept record.
   std::uint8_t* put_time(std::uint8_t* w, std::uint64_t t);
-  /// `f`'s value as a raw 64-bit payload (u64 as-is; i64/f64 bit_cast;
-  /// bool 0/1; a string interned, as its id).
-  [[nodiscard]] std::uint64_t field_bits(const Field& f);
 
   // Chunked, not one flat buffer: emit() is on the simulation hot path, and
   // at million-record scale buffer doublings would memcpy the whole trace

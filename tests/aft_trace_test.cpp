@@ -4,7 +4,9 @@
 // chain from the injected fault through the dissent to the switchboard
 // reconfiguration.
 #include <cmath>
+#include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -199,6 +201,86 @@ TEST(TraceReaderTest, LengthsNearTwoToTheSixtyFourAreRejectedNotWrapped) {
   error.clear();
   EXPECT_FALSE(aft::tools::parse_trace_data(bad_body, error).has_value());
   EXPECT_NE(error.find("corrupt binary trace"), std::string::npos) << error;
+}
+
+TEST(TraceReaderTest, EveryPrefixAndByteFlipOfABinaryTraceDecodesOrIsRejected) {
+  // A deterministic mutation sweep over the one AFTB decoder.  The trace
+  // has every field kind (non-finite and negative-zero doubles included), a
+  // string that needs \u escapes in JSONL, a record body of at least 128
+  // bytes (a two-byte length prefix), span and cause refs, a backward time
+  // step and records dropped at the cap.
+  TraceSink sink(3);
+  sink.set_time(7);
+  const auto origin = sink.emit("hw.inject", "seu", {{"addr", 42u}});
+  sink.set_cause(origin);
+  sink.set_span(origin);
+  sink.set_time(9);
+  constexpr std::uint64_t kBig = ~std::uint64_t{0};
+  sink.emit("detect", "latch",
+            {{"u", kBig},
+             {"i", std::int64_t{INT64_MIN}},
+             {"nan", std::nan("")},
+             {"inf", 1.0 / 0.0},
+             {"ninf", -1.0 / 0.0},
+             {"nzero", -0.0},
+             {"yes", true},
+             {"s", "tab\there\x01"},
+             {"a", kBig},
+             {"b", kBig},
+             {"c", kBig},
+             {"d", kBig},
+             {"e", kBig}});
+  sink.set_time(8);
+  sink.emit("detect", "clear", {{"no", false}});
+  sink.emit("detect", "dropped", {{"unseen", "string"}});
+  sink.emit("detect", "dropped");
+  ASSERT_EQ(sink.dropped(), 2u);
+  const std::string good = sink.binary();
+  std::string error;
+  const auto decoded = aft::tools::parse_trace_data(good, error);
+  ASSERT_TRUE(decoded.has_value()) << error;
+  ASSERT_EQ(decoded->events.size(), 4u);
+  EXPECT_EQ(*decoded->events[1].field("nzero"), "-0");
+
+  // Each input sits in a heap block of exactly its size, so a read past
+  // its end is an out-of-bounds read under AddressSanitizer.  Returns
+  // whether the input decoded.
+  const auto decodes_or_is_rejected = [](const std::string& input,
+                                         const std::string& what) {
+    const auto block = std::make_unique<char[]>(input.size());
+    std::memcpy(block.get(), input.data(), input.size());
+    const std::string_view bytes(block.get(), input.size());
+    std::string err;
+    const auto trace = aft::tools::parse_trace_data(bytes, err);
+    if (trace.has_value()) {
+      for (const TraceEvent& e : trace->events) {
+        EXPECT_LE(e.span, static_cast<std::int64_t>(e.seq)) << what;
+        EXPECT_LE(e.cause, static_cast<std::int64_t>(e.seq)) << what;
+      }
+      return true;
+    }
+    if (bytes.starts_with("AFTB")) {
+      EXPECT_TRUE(err.starts_with("corrupt binary trace: ") ||
+                  err.starts_with("unsupported binary trace version"))
+          << what << ": " << err;
+    } else {
+      // Without the magic the bytes go to the JSONL reader.
+      EXPECT_TRUE(err.starts_with("line ")) << what << ": " << err;
+    }
+    return false;
+  };
+  for (std::size_t n = 0; n < good.size(); ++n) {
+    const bool decoded_prefix = decodes_or_is_rejected(
+        good.substr(0, n), "prefix of " + std::to_string(n) + " bytes");
+    // Only the empty prefix is a (JSONL) trace: every other one is cut
+    // short somewhere.
+    EXPECT_EQ(decoded_prefix, n == 0) << n;
+  }
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    std::string flipped = good;
+    flipped[i] = static_cast<char>(flipped[i] ^ '\xFF');
+    decodes_or_is_rejected(flipped, "byte " + std::to_string(i) + " flipped");
+  }
 }
 
 TEST(TraceReaderTest, LoadTraceSniffsBinaryFilesByMagic) {

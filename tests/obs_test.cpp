@@ -23,7 +23,6 @@
 
 namespace {
 
-using aft::obs::Field;
 using aft::obs::MetricsRegistry;
 using aft::obs::ScopedObs;
 using aft::obs::TraceSink;
@@ -114,7 +113,7 @@ TEST(TraceSinkTest, BinaryHeaderCarriesMagicVersionAndFlags) {
   const std::string bin = sink.binary();
   ASSERT_GE(bin.size(), 6u);
   EXPECT_EQ(bin.substr(0, 4), "AFTB");
-  EXPECT_EQ(bin[4], static_cast<char>(aft::obs::kTraceBinaryVersion));
+  EXPECT_EQ(bin[4], static_cast<char>(aft::obs::aftb::kVersion));
   EXPECT_EQ(bin[5], 0);  // flags
 }
 
@@ -272,9 +271,8 @@ TEST(TraceBufferTest, AppendOfDisjointTablesIntoTheCapKeepsTheLastKeptTime) {
   EXPECT_EQ(merged.size(), kCap);
   EXPECT_EQ(merged.dropped(), 2u);
   EXPECT_TRUE(job1.empty());  // NOLINT(bugprone-use-after-move): documented
-  // append() re-interns all of job1's strings, those of its dropped records
-  // too, so only the records, not the string tables, match direct emission.
   EXPECT_EQ(merged.jsonl(), direct.jsonl());
+  EXPECT_EQ(merged.binary(), direct.binary());
   expect_binary_decodes_to_jsonl(merged);
   expect_binary_decodes_to_jsonl(direct);
   const auto lines = lines_of(merged.jsonl());
@@ -506,12 +504,14 @@ TEST(ObsCliTest, NoFlagsMeansNoSinks) {
 
 // --- Field rendering -------------------------------------------------------
 
-TEST(FieldTest, AppendValueEscapesControlCharactersAndKeepsUtf8) {
-  std::string out;
-  Field("k", "tab\there\x01 snow\xE2\x98\x83").append_value(out);
-  // Control characters become \t / ; multi-byte UTF-8 passes through
+TEST(FieldTest, StringValuesEscapeControlCharactersAndKeepUtf8) {
+  TraceSink sink;
+  sink.emit("c", "e", {{"k", "tab\there\x01 snow\xE2\x98\x83"}});
+  // Control characters become \t / \u0001; multi-byte UTF-8 passes through
   // untouched (JSONL stays valid UTF-8 without mangling non-ASCII names).
-  EXPECT_EQ(out, "\"tab\\there\\u0001 snow\xE2\x98\x83\"");
+  EXPECT_EQ(sink.jsonl(),
+            "{\"t\":0,\"seq\":0,\"component\":\"c\",\"event\":\"e\","
+            "\"k\":\"tab\\there\\u0001 snow\xE2\x98\x83\"}\n");
 }
 
 TEST(FieldTest, AppendJsonStringEscapesEveryControlCharacter) {

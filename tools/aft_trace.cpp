@@ -13,7 +13,6 @@
 // "-" reads the trace from stdin.  Exit codes: 0 success, 1 semantic
 // difference / unknown seq, 2 usage or parse error.
 
-#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -58,9 +57,7 @@ int main(int argc, char** argv) {
     if (argc != 4) return usage(std::cerr, 2);
     const std::string_view seq_arg = argv[2];
     std::uint64_t seq = 0;
-    const auto [p, ec] =
-        std::from_chars(seq_arg.data(), seq_arg.data() + seq_arg.size(), seq);
-    if (ec != std::errc() || p != seq_arg.data() + seq_arg.size()) {
+    if (!aft::tools::parse_int(seq_arg, seq)) {
       std::cerr << "aft_trace: '" << seq_arg << "' is not a sequence number\n";
       return 2;
     }
@@ -89,10 +86,7 @@ int main(int argc, char** argv) {
     std::uint64_t window = 0;
     if (argc == 4) {
       const std::string_view w_arg = argv[3];
-      const auto [p, ec] =
-          std::from_chars(w_arg.data(), w_arg.data() + w_arg.size(), window);
-      if (ec != std::errc() || p != w_arg.data() + w_arg.size() ||
-          window == 0) {
+      if (!aft::tools::parse_int(w_arg, window) || window == 0) {
         std::cerr << "aft_trace: '" << w_arg
                   << "' is not a window width in ticks\n";
         return 2;

@@ -2,8 +2,9 @@
 // (also the flight recorder's dump lines, which use the same flat-object
 // shape) and the compact "AFTB" binary format.  load_trace() sniffs the
 // magic, so every analysis command works on both transparently and decodes
-// them to identical TraceEvent sequences — binary numeric values are
-// re-rendered with std::to_chars, the exact routine the JSONL writer used.
+// them to identical TraceEvent sequences.  AFTB files are decoded by the
+// format's one codec, src/obs/aftb.hpp (header-only: no runtime library is
+// linked), whose renderers also print the JSONL writer's numbers.
 //
 // The JSONL path is deliberately NOT a general JSON parser: every line is
 // one flat object whose values are strings, numbers, or booleans — the
@@ -13,6 +14,7 @@
 // without the reader having to understand them.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
@@ -46,6 +48,13 @@ struct Trace {
   /// is an index lookup with a fallback scan for foreign files.
   [[nodiscard]] const TraceEvent* by_seq(std::uint64_t seq) const;
 };
+
+/// Parses all of `v` as a decimal integer; false on anything else.
+template <typename Int>
+[[nodiscard]] bool parse_int(std::string_view v, Int& out) {
+  const auto [p, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  return ec == std::errc() && p == v.data() + v.size();
+}
 
 /// Parses a whole JSONL stream.  On failure returns nullopt and describes
 /// the first offending line in `error`.
