@@ -7,11 +7,6 @@
 
 namespace aft::util {
 
-void Histogram::add(std::int64_t key, std::uint64_t weight) {
-  bins_[key] += weight;
-  total_ += weight;
-}
-
 std::uint64_t Histogram::count(std::int64_t key) const {
   const auto it = bins_.find(key);
   return it == bins_.end() ? 0 : it->second;

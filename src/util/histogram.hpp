@@ -15,8 +15,15 @@ namespace aft::util {
 /// them as a log-scale ASCII bar chart comparable to the paper's Fig. 7.
 class Histogram {
  public:
-  /// Adds `weight` observations of `key`.
-  void add(std::int64_t key, std::uint64_t weight = 1);
+  /// Adds `weight` observations of `key`.  Adding the key added last (the
+  /// Fig. 7 loop adds one arity round after round) skips the map lookup.
+  void add(std::int64_t key, std::uint64_t weight = 1) {
+    if (last_.bin == nullptr || last_.bin->first != key) {
+      last_.bin = &*bins_.try_emplace(key).first;
+    }
+    last_.bin->second += weight;
+    total_ += weight;
+  }
 
   /// Total number of observations across all keys.
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
@@ -42,8 +49,30 @@ class Histogram {
   [[nodiscard]] std::string render_log_scale(int max_width = 60) const;
 
  private:
-  std::map<std::int64_t, std::uint64_t> bins_;
+  using Bins = std::map<std::int64_t, std::uint64_t>;
+
+  /// The bin add() touched last.  It points into its own histogram's map,
+  /// so a copy or move of the histogram, on either side, starts without it.
+  struct LastBin {
+    Bins::value_type* bin = nullptr;
+
+    LastBin() = default;
+    LastBin(const LastBin&) noexcept {}
+    LastBin(LastBin&& other) noexcept { other.bin = nullptr; }
+    LastBin& operator=(const LastBin&) noexcept {
+      bin = nullptr;
+      return *this;
+    }
+    LastBin& operator=(LastBin&& other) noexcept {
+      bin = nullptr;
+      other.bin = nullptr;
+      return *this;
+    }
+  };
+
+  Bins bins_;
   std::uint64_t total_ = 0;
+  LastBin last_;
 };
 
 }  // namespace aft::util

@@ -52,16 +52,75 @@ VoteOutcome outcome_from_mode(const Mode& mode, std::size_t n) {
   return out;
 }
 
-}  // namespace
+/// Decides a round some value wins by strict majority, by counting
+/// agreement instead of sorting: fills `out` and returns true, or returns
+/// false for a split round.  A strict majority is the sorted path's unique
+/// longest run, so every field equals what outcome_from_mode() reports.
+/// An out-parameter, not a returned std::optional: copying the optional out
+/// stalled on store forwarding, at a cost comparable to the vote itself.
+bool decide_by_agreement(std::span<const Ballot> ballots, VoteOutcome& out) {
+  const std::size_t n = ballots.size();
+  out = VoteOutcome{};
+  out.n = n;
+  if (n == 0) return true;
+  // Unanimity first: the common round never leaves the leading run.
+  Ballot candidate = ballots[0];
+  std::size_t i = 1;
+  while (i < n && ballots[i] == candidate) ++i;
+  std::size_t agreeing = n;
+  if (i < n) {
+    // Boyer-Moore, carrying on from the leading run: the only value that
+    // can hold a strict majority is the final candidate.  Count it.
+    std::size_t lead = i;
+    for (; i < n; ++i) {
+      if (lead == 0) {
+        candidate = ballots[i];
+        lead = 1;
+      } else if (ballots[i] == candidate) {
+        ++lead;
+      } else {
+        --lead;
+      }
+    }
+    agreeing = static_cast<std::size_t>(
+        std::count(ballots.begin(), ballots.end(), candidate));
+    if (agreeing * 2 <= n) return false;
+  }
+  out.has_majority = true;
+  out.winner = candidate;
+  out.agreeing = agreeing;
+  out.dissent = n - agreeing;
+  return true;
+}
 
-VoteOutcome majority_vote_inplace(std::vector<Ballot>& ballots) {
+/// The split-round path: sorts `ballots` and takes the longest run (the
+/// smallest value among equally long ones).
+VoteOutcome sorted_vote(std::vector<Ballot>& ballots) {
   std::sort(ballots.begin(), ballots.end());
   return outcome_from_mode(mode_of_sorted(ballots), ballots.size());
 }
 
+}  // namespace
+
+VoteOutcome majority_vote_inplace(std::vector<Ballot>& ballots) {
+  VoteOutcome out;
+  if (!decide_by_agreement(ballots, out)) out = sorted_vote(ballots);
+  return out;
+}
+
+VoteOutcome majority_vote(std::span<const Ballot> ballots,
+                          std::vector<Ballot>& scratch) {
+  VoteOutcome out;
+  if (!decide_by_agreement(ballots, out)) {
+    scratch.assign(ballots.begin(), ballots.end());
+    out = sorted_vote(scratch);
+  }
+  return out;
+}
+
 VoteOutcome majority_vote(std::span<const Ballot> ballots) {
-  std::vector<Ballot> sorted(ballots.begin(), ballots.end());
-  return majority_vote_inplace(sorted);
+  std::vector<Ballot> scratch;  // allocates only if the round is split
+  return majority_vote(ballots, scratch);
 }
 
 VoteOutcome plurality_vote(std::span<const Ballot> ballots) {

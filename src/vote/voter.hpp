@@ -27,10 +27,20 @@ struct VoteOutcome {
 };
 
 /// Exact-agreement majority voter: the winner must hold a strict majority.
+/// A round is decided by counting agreement (unanimity, then a Boyer-Moore
+/// candidate); only a split round, where no value holds a strict majority,
+/// is sorted, and its outcome reports the longest run (the smallest value
+/// among equally long ones) as winner and agreeing.  Every variant below
+/// returns the same outcome for the same ballots.
 [[nodiscard]] VoteOutcome majority_vote(std::span<const Ballot> ballots);
 
-/// Allocation-free variant for hot loops (the 65M-round Fig. 7 experiment):
-/// sorts `ballots` in place instead of copying.
+/// As above, but a split round copies `ballots` into `scratch` and sorts
+/// there, reusing its capacity; allocation-free once that covers the round.
+[[nodiscard]] VoteOutcome majority_vote(std::span<const Ballot> ballots,
+                                        std::vector<Ballot>& scratch);
+
+/// Allocation-free variant: a split round is sorted in place instead of
+/// copied, so the order of `ballots` afterwards is unspecified.
 [[nodiscard]] VoteOutcome majority_vote_inplace(std::vector<Ballot>& ballots);
 
 /// Plurality voter: the most frequent value wins even without a strict

@@ -31,7 +31,7 @@ inline RoundReport VotingFarm::close_round() {
     last_round_t_ = t;
     round_t_valid_ = true;
   }
-  const VoteOutcome outcome = majority_vote_inplace(scratch_);
+  const VoteOutcome outcome = majority_vote(ballots_, scratch_);
   RoundReport report;
   report.n = replicas_;
   report.dissent = outcome.dissent;
@@ -43,16 +43,13 @@ inline RoundReport VotingFarm::close_round() {
 }
 
 RoundReport VotingFarm::invoke(Ballot input) {
-  // Hot path of the Fig. 6/7 experiment loops: both buffers are assigned in
-  // place (resize reuses capacity across rounds and resizes), and each
-  // ballot lands in the voting scratch as it is produced — no separate
-  // `scratch_ = ballots_` copy pass over the round's ballots.
+  // Hot path of the Fig. 6/7 experiment loops: ballots_ is assigned in
+  // place (resize reuses capacity across rounds and resizes) and voted
+  // where it lies; the scratch is only sized alongside it.
   ballots_.resize(replicas_);
   scratch_.resize(replicas_);
   for (std::size_t r = 0; r < replicas_; ++r) {
-    const Ballot b = task_(input, r);
-    ballots_[r] = b;
-    scratch_[r] = b;
+    ballots_[r] = task_(input, r);
     ++replica_invocations_;
   }
   return close_round();
@@ -60,10 +57,10 @@ RoundReport VotingFarm::invoke(Ballot input) {
 
 RoundReport VotingFarm::tally(std::span<const Ballot> collected) {
   ballots_.resize(replicas_);
+  scratch_.resize(replicas_);
   for (std::size_t r = 0; r < replicas_; ++r) {
     ballots_[r] = r < collected.size() ? collected[r] : no_reply(r);
   }
-  scratch_ = ballots_;
   replica_invocations_ += replicas_;
   return close_round();
 }

@@ -78,7 +78,7 @@ class VotingFarm {
   [[nodiscard]] std::uint64_t resizes() const noexcept { return resizes_; }
 
  private:
-  /// The tail shared by invoke() and tally(): counts, times, votes scratch_.
+  /// The tail shared by invoke() and tally(): counts, times, votes ballots_.
   RoundReport close_round();
 
   std::size_t replicas_;
@@ -88,7 +88,10 @@ class VotingFarm {
   std::uint64_t replica_invocations_ = 0;
   std::uint64_t resizes_ = 0;
   std::vector<Ballot> ballots_;  ///< last round, replica order
-  std::vector<Ballot> scratch_;  ///< voting workspace (sorted in place)
+  /// Sort workspace of a split round, the only round that copies ballots_
+  /// (an agreeing round is decided in place).  It is resized alongside
+  /// ballots_ every round, so a first split round allocates nothing.
+  std::vector<Ballot> scratch_;
   // Round cadence on the obs logical clock ("vote.farm.round_gap"): invoke()
   // itself is synchronous, so the latency signal of the voting plane is the
   // spacing between consecutive rounds.

@@ -14,11 +14,13 @@
 //   * net::Membership heartbeat windows with member names too long for
 //     the small-string buffer,
 //   * vote::VotingFarm::invoke round after round, including after an
-//     arity resize, and
+//     arity resize and split rounds after agreeing ones, and
+//     vote::majority_vote of a span some value wins,
 //   * mem::EccScrubAccess batched patrol scrub (read_block + bit-sliced
 //     batch decode), including rounds that take the repair path.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -348,6 +350,63 @@ TEST(AllocTest, VotingFarmStaysAllocationFreeAfterResizeDown) {
   });
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(farm.last_ballots().size(), 5u);
+}
+
+TEST(AllocTest, VotingFarmSplitRoundsAfterAgreeingWarmUpAreAllocationFree) {
+  // An agreeing round never touches the farm's sort workspace, so a farm
+  // warmed up only on unanimous rounds must still have it sized: its first
+  // split rounds, also at a lower arity within capacity, allocate nothing.
+  bool split = false;
+  aft::vote::VotingFarm farm(
+      9, [&split](aft::vote::Ballot input, std::size_t replica) {
+        return split ? input + static_cast<aft::vote::Ballot>(replica) : input;
+      });
+  for (aft::vote::Ballot round = 0; round < 10; ++round) (void)farm.invoke(round);
+  aft::vote::VotingFarm tallier(9);
+  const std::vector<aft::vote::Ballot> agreeing(9, 5);
+  for (int round = 0; round < 10; ++round) (void)tallier.tally(agreeing);
+  const std::vector<aft::vote::Ballot> distinct{9, 8, 7, 6, 5, 4, 3, 2, 1};
+
+  split = true;
+  const std::uint64_t allocs = allocations_during([&] {
+    for (const std::size_t arity : {9u, 5u, 7u, 9u}) {
+      farm.resize(arity);
+      tallier.resize(arity);
+      for (aft::vote::Ballot round = 0; round < 100; ++round) {
+        ASSERT_FALSE(farm.invoke(round).success);
+        ASSERT_FALSE(tallier.tally(distinct).success);
+        ASSERT_TRUE(tallier.tally(agreeing).success);
+      }
+    }
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(farm.failures(), 400u);
+  EXPECT_EQ(tallier.failures(), 400u);
+}
+
+TEST(AllocTest, MajorityVoteOfAnAgreeingSpanIsAllocationFree) {
+  // NVersionComponent and TimeRedundancy vote through the copying
+  // majority_vote(span) every call; a round some value wins by strict
+  // majority is decided without the copy.
+  std::array<aft::vote::Ballot, 15> ballots{};
+  const std::uint64_t allocs = allocations_during([&] {
+    ASSERT_EQ(aft::vote::majority_vote({}).n, 0u);
+    for (std::size_t n = 1; n <= ballots.size(); ++n) {
+      const std::span<const aft::vote::Ballot> round(ballots.data(), n);
+      ballots.fill(7);
+      ASSERT_EQ(aft::vote::majority_vote(round).agreeing, n);
+      // The largest minority 7 still outvotes, leading the round.
+      const std::size_t minority = (n - 1) / 2;
+      for (std::size_t r = 0; r < minority; ++r) {
+        ballots[r] = 100 + static_cast<aft::vote::Ballot>(r);
+      }
+      const aft::vote::VoteOutcome outcome = aft::vote::majority_vote(round);
+      ASSERT_TRUE(outcome.has_majority);
+      ASSERT_EQ(outcome.winner, 7);
+      ASSERT_EQ(outcome.dissent, minority);
+    }
+  });
+  EXPECT_EQ(allocs, 0u);
 }
 
 TEST(AllocTest, MetricsObserveSteadyStateIsAllocationFree) {

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -225,6 +226,62 @@ TEST(HistogramTest, LogScaleBarsMonotone) {
     return std::count(s.begin(), s.end(), '#');
   };
   EXPECT_LT(count_hash(line1_hashes), count_hash(line2));
+}
+
+TEST(HistogramTest, CachedBinStaysWithItsOwnObjectAcrossCopiesAndMoves) {
+  // add() remembers the bin it touched last, a pointer into its own map.
+  // Every object made from or assigned over a histogram whose cached key
+  // is 3 must count its next add(3) in its own bins, and only there.
+  using Bins = std::map<std::int64_t, std::uint64_t>;
+  Histogram h;
+  h.add(5, 2);
+  h.add(3, 5);
+
+  Histogram copied(h);
+  copied.add(3);
+  h.add(3, 10);
+  EXPECT_EQ(copied.bins(), (Bins{{3, 6}, {5, 2}}));
+  EXPECT_EQ(copied.total(), 8u);
+  EXPECT_EQ(h.bins(), (Bins{{3, 15}, {5, 2}}));
+  EXPECT_EQ(h.total(), 17u);
+
+  Histogram assigned;
+  assigned.add(3, 100);  // caches a bin of the map the assignment frees
+  assigned = h;
+  assigned.add(3);
+  EXPECT_EQ(assigned.bins(), (Bins{{3, 16}, {5, 2}}));
+  EXPECT_EQ(assigned.count(3), 16u);
+  EXPECT_EQ(assigned.total(), 18u);
+  EXPECT_EQ(h.count(3), 15u);
+
+  Histogram moved(std::move(copied));
+  moved.add(3);
+  EXPECT_EQ(moved.bins(), (Bins{{3, 7}, {5, 2}}));
+  EXPECT_EQ(moved.total(), 9u);
+  // The moved-from object is valid, if unspecified: an add lands in its own
+  // bins, not in the ones it handed over.
+  const std::uint64_t left = copied.count(3);
+  const std::uint64_t left_total = copied.total();
+  copied.add(3);
+  EXPECT_EQ(copied.count(3), left + 1);
+  EXPECT_EQ(copied.total(), left_total + 1);
+  EXPECT_EQ(moved.count(3), 7u);
+
+  Histogram move_assigned;
+  move_assigned.add(3, 100);
+  move_assigned = std::move(moved);
+  move_assigned.add(3);
+  EXPECT_EQ(move_assigned.bins(), (Bins{{3, 8}, {5, 2}}));
+  EXPECT_EQ(move_assigned.total(), 10u);
+  const std::uint64_t moved_left = moved.count(3);
+  moved.add(3);
+  EXPECT_EQ(moved.count(3), moved_left + 1);
+  EXPECT_EQ(move_assigned.count(3), 8u);
+
+  EXPECT_EQ(h.bins(), (Bins{{3, 15}, {5, 2}}));  // untouched by all of it
+  h.add(3);
+  EXPECT_EQ(h.count(3), 16u);
+  EXPECT_EQ(assigned.count(3), 16u);
 }
 
 TEST(HistogramTest, RenderLogScaleRejectsNonPositiveWidth) {

@@ -2,10 +2,15 @@
 // Voting Farm restoring organ.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <span>
+#include <vector>
 
+#include "util/rng.hpp"
 #include "vote/dtof.hpp"
 #include "vote/voter.hpp"
 #include "vote/voting_farm.hpp"
@@ -84,6 +89,122 @@ TEST(MajorityVoteInplaceTest, MatchesCopyingVariant) {
   EXPECT_EQ(copying.has_majority, inplace.has_majority);
   EXPECT_EQ(copying.winner, inplace.winner);
   EXPECT_EQ(copying.dissent, inplace.dissent);
+}
+
+// --- The agreement path against the sorted reference ---------------------------
+
+/// The majority voter by its definition: sort, and report the longest run
+/// (the smallest value among equally long ones) with its length.
+VoteOutcome sorted_reference(std::vector<Ballot> ballots) {
+  std::sort(ballots.begin(), ballots.end());
+  VoteOutcome out;
+  out.n = ballots.size();
+  if (ballots.empty()) return out;
+  std::size_t i = 0;
+  while (i < ballots.size()) {
+    std::size_t j = i;
+    while (j < ballots.size() && ballots[j] == ballots[i]) ++j;
+    if (j - i > out.agreeing) {
+      out.agreeing = j - i;
+      out.winner = ballots[i];
+    }
+    i = j;
+  }
+  out.dissent = out.n - out.agreeing;
+  out.has_majority = out.agreeing * 2 > out.n;
+  return out;
+}
+
+void expect_outcome(const VoteOutcome& got, const VoteOutcome& want,
+                    const char* path, std::size_t trial) {
+  EXPECT_EQ(got.has_majority, want.has_majority) << path << " trial " << trial;
+  EXPECT_EQ(got.winner, want.winner) << path << " trial " << trial;
+  EXPECT_EQ(got.agreeing, want.agreeing) << path << " trial " << trial;
+  EXPECT_EQ(got.dissent, want.dissent) << path << " trial " << trial;
+  EXPECT_EQ(got.n, want.n) << path << " trial " << trial;
+}
+
+void expect_report(const RoundReport& got, const VoteOutcome& want,
+                   const char* path, std::size_t trial) {
+  EXPECT_EQ(got.success, want.has_majority) << path << " trial " << trial;
+  EXPECT_EQ(got.value, want.winner) << path << " trial " << trial;
+  EXPECT_EQ(got.n, want.n) << path << " trial " << trial;
+  EXPECT_EQ(got.dissent, want.dissent) << path << " trial " << trial;
+  EXPECT_EQ(got.distance, dtof_of_outcome(want)) << path << " trial " << trial;
+}
+
+TEST(MajorityVoteTest, AgreementPathMatchesTheSortedReference) {
+  // Thousands of seeded rounds of 0..15 ballots over alphabets of 1..4
+  // symbols, so unanimous, majority, split and tied rounds all occur.  The
+  // symbols include the extremes of Ballot (a no_reply() sentinel is near
+  // the bottom), and their order varies, so a tie's smallest-value winner
+  // is exercised in both directions.
+  constexpr std::array<Ballot, 4> kSymbols{
+      42, -7, std::numeric_limits<Ballot>::min(), std::numeric_limits<Ballot>::max()};
+  aft::util::Xoshiro256 rng(26);
+  std::vector<Ballot> current;
+  VotingFarm invoked(1, [&current](Ballot, std::size_t replica) {
+    return current[replica];
+  });
+  VotingFarm tallied(1);
+  std::vector<Ballot> scratch;
+  std::size_t unanimous = 0, majority = 0, split = 0, tied = 0;
+  for (std::size_t trial = 0; trial < 6000; ++trial) {
+    const std::size_t n = rng.uniform_int(0, 15);
+    const std::size_t alphabet = rng.uniform_int(1, 4);
+    const std::size_t offset = rng.uniform_int(0, 3);
+    current.resize(n);
+    for (Ballot& b : current) {
+      b = kSymbols[(offset + rng.uniform_int(0, alphabet - 1)) % kSymbols.size()];
+    }
+    const VoteOutcome want = sorted_reference(current);
+    if (n > 0 && want.agreeing == n) {
+      ++unanimous;
+    } else if (want.has_majority) {
+      ++majority;
+    } else if (n > 0 && std::count_if(kSymbols.begin(), kSymbols.end(), [&](Ballot v) {
+                 return static_cast<std::size_t>(std::count(
+                            current.begin(), current.end(), v)) == want.agreeing;
+               }) > 1) {
+      ++tied;  // two longest runs: the smaller value must win
+    } else {
+      ++split;
+    }
+
+    expect_outcome(majority_vote(current), want, "majority_vote", trial);
+    expect_outcome(majority_vote(current, scratch), want, "majority_vote+scratch",
+                   trial);
+    std::vector<Ballot> inplace = current;
+    expect_outcome(majority_vote_inplace(inplace), want, "majority_vote_inplace",
+                   trial);
+    std::sort(inplace.begin(), inplace.end());
+    std::vector<Ballot> sorted = current;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(inplace, sorted) << "inplace lost ballots, trial " << trial;
+
+    // The farm votes at odd arity: an odd round goes through invoke(), and
+    // through tally() both in full and with its tail left uncollected.
+    if (n % 2 == 1) {
+      invoked.resize(n);
+      expect_report(invoked.invoke(0), want, "invoke", trial);
+      EXPECT_EQ(invoked.last_ballots(), current) << "invoke, trial " << trial;
+
+      tallied.resize(n);
+      expect_report(tallied.tally(current), want, "tally", trial);
+      EXPECT_EQ(tallied.last_ballots(), current) << "tally, trial " << trial;
+
+      const std::size_t collected = rng.uniform_int(0, n);
+      std::vector<Ballot> padded = current;
+      for (std::size_t r = collected; r < n; ++r) padded[r] = no_reply(r);
+      expect_report(tallied.tally(std::span<const Ballot>(current).first(collected)),
+                    sorted_reference(padded), "tally of a prefix", trial);
+      EXPECT_EQ(tallied.last_ballots(), padded) << "tally of a prefix, trial " << trial;
+    }
+  }
+  EXPECT_GT(unanimous, 500u);
+  EXPECT_GT(majority, 500u);
+  EXPECT_GT(split, 500u);
+  EXPECT_GT(tied, 200u);
 }
 
 TEST(ParseBallotTest, AcceptsExactlyOneInRangeDecimalInteger) {
@@ -220,10 +341,10 @@ TEST(VotingFarmTest, RoundCountersAccumulate) {
 
 TEST(VotingFarmTest, LastBallotsAreReplicaOrderedAndUnsorted) {
   // last_ballots() must expose the round's ballots in replica order even
-  // though the voter sorts its workspace in place — i.e. the farm really
-  // does keep the raw ballots and the scratch separate.  A descending
-  // ballot pattern makes any accidental aliasing with the sorted scratch
-  // visible immediately.
+  // when the round is split, the one kind the voter sorts — in the farm's
+  // scratch, which must stay separate from the raw ballots.  A descending
+  // ballot pattern with no majority makes any accidental aliasing with the
+  // sorted scratch visible immediately.
   VotingFarm farm(5, [](Ballot in, std::size_t replica) {
     return replica == 1 ? in : in + 10 - static_cast<Ballot>(replica);
   });

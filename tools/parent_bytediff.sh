@@ -8,10 +8,15 @@
 # Runs the determinism set with each build at AFT_THREADS 1 and 8:
 #
 #   abl_cluster_adaptation, abl_open_loop (AFT_TRAFFIC_CLIENTS=1000),
-#   abl_slo_adaptation, abl_retry_policy, fig6_adaptation
+#   abl_slo_adaptation, abl_retry_policy, abl_switchboard_policy,
+#   fig6_adaptation
 #       stdout, --trace JSONL, --trace-format bin and --metrics
-#   fig7_redundancy_histogram (AFT_FIG7_STEPS=500000), mission_simulator
+#   fig7_redundancy_histogram (AFT_FIG7_STEPS=500000), mission_simulator,
+#   adaptive_redundancy
 #       stdout
+#
+# abl_switchboard_policy's frugal rows and adaptive_redundancy vote rounds
+# with no majority, the ones the voter still sorts.
 #
 # Every run's exit status is kept too.  Each output of the tree is compared
 # with `cmp` against <ref>'s; one line per file is printed and the script
@@ -33,12 +38,13 @@ generator=()
 command -v ninja > /dev/null && generator=(-G Ninja)
 
 traced=(abl_cluster_adaptation abl_open_loop abl_slo_adaptation abl_retry_policy
-        fig6_adaptation)
+        abl_switchboard_policy fig6_adaptation)
+examples=(mission_simulator adaptive_redundancy)
 
 build() {  # <source dir> <build dir> <log>
   cmake -S "$1" -B "$2" "${generator[@]}" -DCMAKE_BUILD_TYPE=Release > "$3" 2>&1
   cmake --build "$2" -j "$(nproc)" --target "${traced[@]}" \
-      fig7_redundancy_histogram mission_simulator >> "$3" 2>&1 ||
+      fig7_redundancy_histogram "${examples[@]}" >> "$3" 2>&1 ||
     { echo "build of $1 failed, see $3" >&2; exit 2; }
 }
 
@@ -77,10 +83,12 @@ run() {  # <build dir> <out dir>
         "$bin/bench/fig7_redundancy_histogram" > "fig7.$n.stdout" 2> /dev/null) ||
       rc=$?
     echo "$rc" > "$out/fig7.$n.rc"
-    rc=0
-    (cd "$out" && AFT_THREADS=$n "$bin/examples/mission_simulator" \
-        > "mission_simulator.$n.stdout" 2> /dev/null) || rc=$?
-    echo "$rc" > "$out/mission_simulator.$n.rc"
+    for b in "${examples[@]}"; do
+      rc=0
+      (cd "$out" && AFT_THREADS=$n "$bin/examples/$b" > "$b.$n.stdout" \
+          2> /dev/null) || rc=$?
+      echo "$rc" > "$out/$b.$n.rc"
+    done
   done
 }
 
