@@ -4,6 +4,15 @@
 // machine-readable BENCH_ecc.json (path overridable via AFT_BENCH_JSON) so
 // subsequent PRs have a perf trajectory to defend.
 //
+// The dense-scrub rows ("scrub_dense") report the scrub's cost as the share
+// of dirty words grows.  The production scrub finds dirty words with a
+// syndrome-only sliced pass and repairs each one with the scalar decoder, so
+// its cost follows the error load; a walk that repairs in plane space
+// (read_block + ecc_decode_batch) costs about the same whatever the load.
+// On a 4-vCPU Xeon VM (GCC 12 Release, AVX2) the two cross near one dirty
+// word in three: 3.4 vs 9.2 ns/word at 1 in 64, 12.5 vs 10.2 at 1 in 3,
+// 33.3 vs 13.3 with every word flipped.  The rows carry no gate.
+//
 // Acceptance gates for this bench (enforced by CI on Release builds):
 //   - gate_encode:  scalar encode           >= 10x reference
 //   - gate_decode:  scalar decode           >= 10x reference (clean AND 1-flip)
@@ -122,7 +131,7 @@ double decode_batch_rate(std::uint64_t ops,
 
 /// Patrol-scrub throughput over a device carrying a light latent-error load.
 /// `batched` selects the production EccScrubAccess walk (read_block + batch
-/// decode) or an equivalent per-word emulation of the pre-batch walk.
+/// check) or an equivalent per-word emulation of the pre-batch walk.
 double scrub_rate(bool batched) {
   aft::hw::MemoryChip chip(kWorkingSet);
   aft::mem::EccScrubAccess method(chip, kWorkingSet);
@@ -155,6 +164,63 @@ double scrub_rate(bool batched) {
   });
   return static_cast<double>(kPasses) * static_cast<double>(kWorkingSet) / secs;
 }
+
+/// Patrol-scrub cost in ns per scrubbed word when every `stride`-th word
+/// carries a single flip at the start of each pass.  `check` times the
+/// production EccScrubAccess::scrub_step (sliced check + scalar repair);
+/// otherwise a walk that repairs in plane space (read_block +
+/// ecc_decode_batch) is timed.  The dirty image is restored, untimed,
+/// before every pass, so each timed pass repairs the same load.
+double dense_scrub_ns(bool check, std::size_t stride) {
+  aft::hw::MemoryChip chip(kWorkingSet);
+  aft::mem::EccScrubAccess method(chip, kWorkingSet);
+  aft::util::Xoshiro256 rng(77);
+  std::vector<Word72> image(kWorkingSet);
+  for (std::size_t w = 0; w < kWorkingSet; ++w) {
+    image[w] = aft::mem::ecc_encode(rng.next());
+    if (w % stride == 0) {
+      aft::hw::flip_bit(image[w], static_cast<unsigned>(rng.uniform_int(0, 71)));
+    }
+  }
+  const auto decode_batch_pass = [&chip] {
+    constexpr std::size_t kBurst = aft::mem::kEccBatchBurst;
+    Word72 buf[kBurst];
+    std::uint64_t data[kBurst];
+    EccStatus status[kBurst];
+    Word72 repaired[kBurst];
+    for (std::size_t addr = 0; addr < kWorkingSet; addr += kBurst) {
+      if (!chip.read_block(addr, kBurst, buf)) return;
+      aft::mem::ecc_decode_batch(buf, kBurst, data, status, repaired);
+      for (std::size_t i = 0; i < kBurst; ++i) {
+        if (status[i] == EccStatus::kCorrectedSingle) chip.write(addr + i, repaired[i]);
+      }
+    }
+  };
+  constexpr int kPasses = 32;
+  double best = 1e300;
+  for (int r = 0; r <= kRepeats; ++r) {  // r == 0 is the warmup
+    double secs = 0;
+    for (int p = 0; p < kPasses; ++p) {
+      chip.write_block(0, kWorkingSet, image.data());
+      const auto t0 = Clock::now();
+      if (check) {
+        method.scrub_step();
+      } else {
+        decode_batch_pass();
+      }
+      secs += seconds_since(t0);
+    }
+    if (r > 0) best = std::min(best, secs);
+  }
+  g_sink ^= chip.read(0).word.data;
+  return best * 1e9 / (static_cast<double>(kPasses) * kWorkingSet);
+}
+
+struct DenseScrubRow {
+  std::size_t stride = 0;
+  double check_ns = 0;
+  double decode_batch_ns = 0;
+};
 
 /// Full campaign wall clock: the abl_scrub_cadence shape, fanned across the
 /// campaign thread pool.
@@ -313,6 +379,11 @@ int main(int argc, char** argv) {
 
   const double scrub_batched = scrub_rate(/*batched=*/true);
   const double scrub_per_word = scrub_rate(/*batched=*/false);
+  std::vector<DenseScrubRow> dense;
+  for (const std::size_t stride : {std::size_t{64}, std::size_t{3}, std::size_t{1}}) {
+    dense.push_back({stride, dense_scrub_ns(/*check=*/true, stride),
+                     dense_scrub_ns(/*check=*/false, stride)});
+  }
   const CampaignResult camp = campaign_wall_clock();
 
   const auto row = [](const char* name, double rate, double ref) {
@@ -333,6 +404,12 @@ int main(int argc, char** argv) {
             << " Mwords/s patrol (per-word walk "
             << json_number(scrub_per_word / 1e6) << " Mwords/s, "
             << json_number(scrub_batched / scrub_per_word) << "x)\n";
+  for (const DenseScrubRow& d : dense) {
+    std::cout << "  scrub 1/" << d.stride << (d.stride < 10 ? " " : "")
+              << "     : " << json_number(d.check_ns)
+              << " ns/word (decode-batch walk " << json_number(d.decode_batch_ns)
+              << ")\n";
+  }
   std::cout << "  campaign      : " << camp.jobs << " jobs x "
             << camp.ticks_per_job << " ticks on " << camp.threads
             << " thread(s) = " << json_number(camp.wall_seconds * 1e3)
@@ -419,6 +496,15 @@ int main(int argc, char** argv) {
        << ", \"per_word_words_per_sec\": " << json_number(scrub_per_word)
        << ", \"speedup\": " << json_number(scrub_batched / scrub_per_word)
        << "},\n"
+       << "  \"scrub_dense\": [";
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    const DenseScrubRow& d = dense[i];
+    json << (i == 0 ? "" : ", ") << "{\"dirty_every\": " << d.stride
+         << ", \"ns_per_word\": " << json_number(d.check_ns)
+         << ", \"decode_batch_ns_per_word\": " << json_number(d.decode_batch_ns)
+         << "}";
+  }
+  json << "],\n"
        << "  \"campaign\": {\"jobs\": " << camp.jobs
        << ", \"ticks_per_job\": " << camp.ticks_per_job
        << ", \"threads\": " << camp.threads

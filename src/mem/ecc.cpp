@@ -206,6 +206,11 @@ EccBatchCounts ecc_decode_batch_portable(const hw::Word72* words,
       words, n, data_out, status_out, repaired_out);
 }
 
+std::size_t ecc_check_batch_portable(const hw::Word72* words, std::size_t n,
+                                     std::uint64_t* dirty) noexcept {
+  return detail::check_batch_impl<detail::ScalarTraits>(words, n, dirty);
+}
+
 namespace {
 
 bool batch_uses_avx2() noexcept {
@@ -244,6 +249,16 @@ EccBatchCounts ecc_decode_batch(const hw::Word72* words, std::size_t n,
 #endif
   return ecc_decode_batch_portable(words, n, data_out, status_out,
                                    repaired_out);
+}
+
+std::size_t ecc_check_batch(const hw::Word72* words, std::size_t n,
+                            std::uint64_t* dirty) noexcept {
+#if defined(AFT_ECC_AVX2_BUILT)
+  if (util::cpu_features().avx2) {
+    return detail::ecc_check_batch_avx2(words, n, dirty);
+  }
+#endif
+  return ecc_check_batch_portable(words, n, dirty);
 }
 
 }  // namespace aft::mem

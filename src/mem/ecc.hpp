@@ -19,6 +19,9 @@
 //     bulk, so one 64-bit XOR advances 64 parity accumulations at once.
 //     Ships a portable uint64_t implementation and an AVX2 variant (4 lanes,
 //     256 words per superblock) selected at runtime via util::cpu_features().
+//   - ecc_check_batch: the same sliced kernel stopped after the syndrome.
+//     It only flags the words that are not clean codewords, so a caller
+//     such as the patrol scrub can hand just those to ecc_decode.
 //   - ecc_encode_ref/ecc_decode_ref: the original per-bit loops, retained as
 //     the differential-testing oracle and the perf baseline for
 //     bench/perf_ecc.
@@ -108,6 +111,14 @@ EccBatchCounts ecc_decode_batch(const hw::Word72* words, std::size_t n,
                                 std::uint64_t* data_out, EccStatus* status_out,
                                 hw::Word72* repaired_out) noexcept;
 
+/// Flags the words that are not clean codewords: sets bit i % 64 of
+/// dirty[i / 64] exactly when ecc_decode(words[i]).status != kClean.  Writes
+/// the ceil(n / 64) masks whole, with every bit at or past n clear, and
+/// returns the number of flagged words.  Computes only the syndrome: no
+/// data, no repair.
+std::size_t ecc_check_batch(const hw::Word72* words, std::size_t n,
+                            std::uint64_t* dirty) noexcept;
+
 /// The portable (uint64_t, no SIMD) batch entry points, always available —
 /// the dispatched entry points above fall back to these; exposed so tests
 /// and benches can compare both paths on the same machine.
@@ -118,14 +129,17 @@ EccBatchCounts ecc_decode_batch_portable(const hw::Word72* words,
                                          std::uint64_t* data_out,
                                          EccStatus* status_out,
                                          hw::Word72* repaired_out) noexcept;
+std::size_t ecc_check_batch_portable(const hw::Word72* words, std::size_t n,
+                                     std::uint64_t* dirty) noexcept;
 
 enum class EccBackend : std::uint8_t {
   kPortable,  ///< uint64_t bit-slicing (always available)
   kAvx2,      ///< 4-lane AVX2 variant (x86-64, runtime-detected)
 };
 
-/// Which implementation ecc_encode_batch/ecc_decode_batch will dispatch to
-/// on this machine/build (see util::cpu_features() for the override knobs).
+/// Which implementation the batch entry points (encode, decode, check)
+/// dispatch to on this machine/build (see util::cpu_features() for the
+/// override knobs).
 [[nodiscard]] EccBackend ecc_batch_backend() noexcept;
 
 }  // namespace aft::mem

@@ -111,4 +111,9 @@ EccBatchCounts ecc_decode_batch_avx2(const hw::Word72* words, std::size_t n,
                                        repaired_out);
 }
 
+std::size_t ecc_check_batch_avx2(const hw::Word72* words, std::size_t n,
+                                 std::uint64_t* dirty) noexcept {
+  return check_batch_impl<Avx2Traits>(words, n, dirty);
+}
+
 }  // namespace aft::mem::detail

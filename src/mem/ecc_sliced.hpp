@@ -363,6 +363,28 @@ void decode_super(const hw::Word72* words, std::uint64_t* data_out,
   }
 }
 
+/// Flags the words of one full superblock that are not clean codewords:
+/// bit i of dirty[L] is set when word 64*L + i has a nonzero syndrome or odd
+/// overall parity, which is exactly when scalar ecc_decode would not report
+/// kClean.  Only the syndrome is computed: no repair, no data gather, no
+/// unslice.  Returns the number of flagged words.
+template <typename T>
+std::size_t check_super(const hw::Word72* words, std::uint64_t* dirty) noexcept {
+  using V = typename T::V;
+  V plane[72];
+  slice_words<T>(words, plane);
+  V s[7];
+  V bad;
+  syndrome_fold<T>(plane, s, bad);
+  for (unsigned j = 0; j < 7; ++j) bad = T::vor(bad, s[j]);
+  T::to_lanes(bad, dirty);
+  std::size_t count = 0;
+  for (unsigned L = 0; L < T::kLanes; ++L) {
+    count += static_cast<std::size_t>(std::popcount(dirty[L]));
+  }
+  return count;
+}
+
 /// Batch encode driver: whole superblocks in place, zero-padded tail via a
 /// stack bounce buffer (zero data encodes to the all-zero codeword, so
 /// padding never perturbs real lanes).
@@ -416,6 +438,30 @@ EccBatchCounts decode_batch_impl(const hw::Word72* words, std::size_t n,
   return counts;
 }
 
+/// Batch check driver: writes the ceil(n / 64) dirty masks.  A short tail is
+/// zero-padded like decode's, and the all-zero word is clean, so the mask
+/// bits at or past n come out clear.
+template <typename T>
+std::size_t check_batch_impl(const hw::Word72* words, std::size_t n,
+                             std::uint64_t* dirty) noexcept {
+  constexpr std::size_t kCap = std::size_t{64} * T::kLanes;
+  std::size_t count = 0;
+  while (n >= kCap) {
+    count += check_super<T>(words, dirty);
+    words += kCap;
+    dirty += T::kLanes;
+    n -= kCap;
+  }
+  if (n != 0) {
+    hw::Word72 wpad[kCap] = {};
+    std::uint64_t mpad[T::kLanes];
+    std::copy(words, words + n, wpad);
+    count += check_super<T>(wpad, mpad);
+    std::copy(mpad, mpad + (n + 63) / 64, dirty);
+  }
+  return count;
+}
+
 // Entry points of the AVX2 translation unit (ecc_avx2.cpp) — defined only
 // when CMake compiles it (x86-64 + GNU/Clang + not AFT_FORCE_PORTABLE);
 // referenced by ecc.cpp only under AFT_ECC_AVX2_BUILT.
@@ -425,5 +471,7 @@ EccBatchCounts ecc_decode_batch_avx2(const hw::Word72* words, std::size_t n,
                                      std::uint64_t* data_out,
                                      EccStatus* status_out,
                                      hw::Word72* repaired_out) noexcept;
+std::size_t ecc_check_batch_avx2(const hw::Word72* words, std::size_t n,
+                                 std::uint64_t* dirty) noexcept;
 
 }  // namespace aft::mem::detail

@@ -1,6 +1,7 @@
 #include "mem/method_ecc.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "obs/obs.hpp"
 
@@ -54,15 +55,14 @@ void EccScrubAccess::scrub_step() {
   if (words == 0 || words_per_scrub_step_ == 0) return;
   if (scrub_cursor_ >= words) scrub_cursor_ = 0;
 
-  // Burst the walk through the bit-sliced batch kernel: one read_block +
-  // one ecc_decode_batch per run of up to kEccBatchBurst words, with
-  // write-backs only for the (rare) corrected words.  Trace/metric emission
-  // stays per corrected word in ascending address order, so the observable
-  // stream is byte-identical to the per-word walk this replaces.
+  // Burst the walk: one read_block + one ecc_check_batch per run of up to
+  // kEccBatchBurst words.  The sliced check only finds the words that are
+  // not clean codewords; each of those is decoded by the scalar kernel, and
+  // a corrected one is written back.  Trace/metric emission stays per
+  // corrected word in ascending address order, so the observable stream is
+  // byte-identical to the per-word walk.
   hw::Word72 buf[kEccBatchBurst];
-  std::uint64_t data[kEccBatchBurst];
-  EccStatus status[kEccBatchBurst];
-  hw::Word72 repaired[kEccBatchBurst];
+  std::uint64_t dirty[kEccBatchBurst / kEccBatchLanes];
   std::size_t remaining = words_per_scrub_step_;
   obs::MetricsRegistry* const reg = obs::metrics();
   while (remaining > 0) {
@@ -76,15 +76,18 @@ void EccScrubAccess::scrub_step() {
     }
     const std::size_t run = std::min({remaining, words - addr, kEccBatchBurst});
     if (!chip_.read_block(addr, run, buf)) return;
-    const EccBatchCounts counts =
-        ecc_decode_batch(buf, run, data, status, repaired);
-    if (counts.corrected != 0) {
-      for (std::size_t i = 0; i < run; ++i) {
-        if (status[i] != EccStatus::kCorrectedSingle) continue;
-        ++stats_.corrected_singles;
-        chip_.write(addr + i, repaired[i]);
-        AFT_METRIC_ADD("mem.ecc.corrected", 1);
-        AFT_TRACE(name(), "corrected", {{"addr", addr + i}, {"origin", "scrub"}});
+    if (ecc_check_batch(buf, run, dirty) != 0) {
+      for (std::size_t m = 0; m * kEccBatchLanes < run; ++m) {
+        for (std::uint64_t rest = dirty[m]; rest != 0; rest &= rest - 1) {
+          const std::size_t i =
+              m * kEccBatchLanes + static_cast<std::size_t>(std::countr_zero(rest));
+          const EccDecode dec = ecc_decode(buf[i]);
+          if (dec.status != EccStatus::kCorrectedSingle) continue;
+          ++stats_.corrected_singles;
+          chip_.write(addr + i, dec.repaired);
+          AFT_METRIC_ADD("mem.ecc.corrected", 1);
+          AFT_TRACE(name(), "corrected", {{"addr", addr + i}, {"origin", "scrub"}});
+        }
       }
     }
     scrub_cursor_ = addr + run == words ? 0 : addr + run;

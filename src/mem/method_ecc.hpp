@@ -4,7 +4,10 @@
 // Every word is stored as a Hamming (72,64) codeword; reads correct single
 // flips on the fly and write the repaired codeword back; a scrubber walks
 // the device so latent single flips are repaired before a second flip can
-// accumulate into an uncorrectable double error.
+// accumulate into an uncorrectable double error.  The scrub pays for the
+// errors it meets: a bit-sliced syndrome check (ecc_check_batch) finds the
+// words that are not clean codewords, and only those go through the scalar
+// decoder and a write-back.
 #pragma once
 
 #include "hw/memory_chip.hpp"

@@ -5,11 +5,15 @@
 namespace aft::util {
 namespace {
 
+// A -DAFT_FORCE_PORTABLE build never reads the environment knob, and an
+// unused function would fail its -Werror build.
+#if !defined(AFT_FORCE_PORTABLE)
 bool env_forces_portable() noexcept {
   const char* v = std::getenv("AFT_FORCE_PORTABLE");
   if (v == nullptr || v[0] == '\0') return false;
   return !(v[0] == '0' && v[1] == '\0');
 }
+#endif
 
 CpuFeatures detect() noexcept {
   CpuFeatures f;

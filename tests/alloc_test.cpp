@@ -17,7 +17,8 @@
 //     arity resize and split rounds after agreeing ones, and
 //     vote::majority_vote of a span some value wins,
 //   * mem::EccScrubAccess batched patrol scrub (read_block + bit-sliced
-//     batch decode), including rounds that take the repair path.
+//     syndrome check + scalar decode of the flagged words), including
+//     rounds that take the repair path and bursts with every word flipped.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -454,7 +455,8 @@ TEST(AllocTest, TimelineRolloverIsAllocationFree) {
 
 TEST(AllocTest, BatchScrubSteadyStateIsAllocationFree) {
   // The batched EccScrubAccess::scrub_step (read_block + bit-sliced
-  // ecc_decode_batch + targeted write-backs) works entirely out of stack
+  // ecc_check_batch + scalar ecc_decode and write-back of the flagged
+  // words) works entirely out of stack
   // buffers: once the chip exists, patrol scrubbing — including passes that
   // actually correct injected flips through the repair path — must never
   // touch the heap.
@@ -475,6 +477,36 @@ TEST(AllocTest, BatchScrubSteadyStateIsAllocationFree) {
   });
   EXPECT_EQ(allocs, 0u);
   EXPECT_GE(method.stats().corrected_singles, 150u);  // most rounds corrected
+}
+
+TEST(AllocTest, ScrubOfAFullyFlippedBurstIsAllocationFree) {
+  // The dense limit of the patrol scrub: every word of every burst carries
+  // a single flip, so each one goes through the scalar decoder and a
+  // write-back.  That path too stays off the heap once warm.
+  constexpr std::size_t kWords = 1024;
+  constexpr std::size_t kStep = 256;
+  aft::hw::MemoryChip chip(kWords);
+  aft::mem::EccScrubAccess method(chip, kStep);
+  for (std::size_t w = 0; w < kWords; ++w) method.write(w, w * 0x9E3779B97F4A7C15ULL);
+  std::size_t next = 0;
+  const auto flip_next_burst = [&](unsigned round) {
+    for (std::size_t i = 0; i < kStep; ++i) {
+      chip.inject_bit_flip(next + i, (round + static_cast<unsigned>(i)) % 72u);
+    }
+    next = (next + kStep) % kWords;
+  };
+  flip_next_burst(0);
+  method.scrub_step();  // warm
+  ASSERT_EQ(method.stats().corrected_singles, kStep);
+
+  const std::uint64_t allocs = allocations_during([&] {
+    for (unsigned round = 1; round <= 40; ++round) {
+      flip_next_burst(round);
+      method.scrub_step();
+    }
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(method.stats().corrected_singles, 41 * kStep);
 }
 
 TEST(AllocTest, LongMemberNamesKeepHeartbeatWindowsAllocationFree) {

@@ -223,6 +223,8 @@ TEST(EccDifferentialTest, RandomRawWordsAgree) {
 
 using aft::mem::EccBatchCounts;
 using aft::mem::EccBlock;
+using aft::mem::ecc_check_batch;
+using aft::mem::ecc_check_batch_portable;
 using aft::mem::ecc_decode_batch;
 using aft::mem::ecc_decode_batch_portable;
 using aft::mem::ecc_encode_batch;
@@ -392,6 +394,54 @@ TEST(EccBatchTest, ArbitraryCorruptionAgreesWithScalar) {
       }
     }
     expect_batch_matches_scalar(words, "random corruption batch");
+  }
+}
+
+TEST(EccBatchTest, CheckMatchesScalarAtEveryAlignment) {
+  // Every n from 0 to 300 (straddling the 64-word block and the 256-word
+  // SIMD superblock) plus 1000.  Words are clean, carry 1, 2 or 3 flips, or
+  // are raw random bits.  A mask word past ceil(n / 64) holds a sentinel
+  // that neither entry point may touch.
+  constexpr std::uint64_t kSentinel = 0xA5A5A5A5A5A5A5A5ULL;
+  Xoshiro256 rng(1414);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 300; ++n) sizes.push_back(n);
+  sizes.push_back(1000);
+  for (const std::size_t n : sizes) {
+    std::vector<Word72> words(n);
+    for (auto& w : words) {
+      const auto kind = rng.uniform_int(0, 4);
+      if (kind == 4) {
+        w = Word72{rng.next(), static_cast<std::uint8_t>(rng.next() & 0xFF)};
+        continue;
+      }
+      w = ecc_encode(rng.next());
+      for (std::uint64_t f = 0; f < kind; ++f) {
+        flip_bit(w, static_cast<unsigned>(rng.uniform_int(0, 71)));
+      }
+    }
+    const std::size_t masks = (n + 63) / 64;
+    std::size_t want_count = 0;
+    for (const Word72& w : words) {
+      if (ecc_decode(w).status != EccStatus::kClean) ++want_count;
+    }
+    for (const bool portable : {false, true}) {
+      std::vector<std::uint64_t> dirty(masks + 1, kSentinel);
+      const std::size_t count =
+          portable ? ecc_check_batch_portable(words.data(), n, dirty.data())
+                   : ecc_check_batch(words.data(), n, dirty.data());
+      std::size_t popcount = 0;
+      for (std::size_t i = 0; i < masks * 64; ++i) {
+        const bool flagged = ((dirty[i / 64] >> (i % 64)) & 1u) != 0;
+        if (flagged) ++popcount;
+        const bool want = i < n && ecc_decode(words[i]).status != EccStatus::kClean;
+        ASSERT_EQ(flagged, want) << "portable=" << portable << " n=" << n
+                                 << " word " << i;
+      }
+      ASSERT_EQ(dirty[masks], kSentinel) << "portable=" << portable << " n=" << n;
+      ASSERT_EQ(count, popcount) << "portable=" << portable << " n=" << n;
+      ASSERT_EQ(count, want_count) << "portable=" << portable << " n=" << n;
+    }
   }
 }
 

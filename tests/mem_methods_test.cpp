@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "hw/fault_injector.hpp"
 #include "hw/memory_chip.hpp"
@@ -15,6 +16,7 @@
 #include "mem/method_remap.hpp"
 #include "mem/method_tmr.hpp"
 #include "mem/scrubber.hpp"
+#include "obs/obs.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -113,6 +115,104 @@ TEST(EccScrubTest, UnavailableDuringScrubIsHarmless) {
   chip.inject_sefi();
   m.scrub_step();  // must not crash or spin
   EXPECT_EQ(m.read(0).status, ReadStatus::kUnavailable);
+}
+
+// The burst scrub (read_block, a sliced syndrome check, the scalar decoder
+// on the flagged words) must act exactly like the plain per-word walk below:
+// same chip contents, same stats, same trace records in the same order.
+struct PerWordScrub {
+  MemoryChip& chip;
+  std::size_t step;
+  std::size_t cursor = 0;
+  MethodStats stats{};
+
+  void scrub_step() {
+    const std::size_t words = chip.size_words();
+    for (std::size_t k = 0; k < step; ++k) {
+      const aft::hw::DeviceRead dev = chip.read(cursor);
+      if (!dev.available) return;
+      const EccDecode dec = ecc_decode(dev.word);
+      if (dec.status == EccStatus::kCorrectedSingle) {
+        ++stats.corrected_singles;
+        chip.write(cursor, dec.repaired);
+        AFT_TRACE("M1-ecc-scrub", "corrected", {{"addr", cursor}, {"origin", "scrub"}});
+      }
+      cursor = cursor + 1 == words ? 0 : cursor + 1;
+    }
+  }
+};
+
+void expect_same_stats(const MethodStats& got, const MethodStats& want,
+                       const std::string& what) {
+  EXPECT_EQ(got.reads, want.reads) << what;
+  EXPECT_EQ(got.writes, want.writes) << what;
+  EXPECT_EQ(got.corrected_singles, want.corrected_singles) << what;
+  EXPECT_EQ(got.double_detected, want.double_detected) << what;
+  EXPECT_EQ(got.recoveries, want.recoveries) << what;
+  EXPECT_EQ(got.remaps, want.remaps) << what;
+  EXPECT_EQ(got.rebuilds, want.rebuilds) << what;
+  EXPECT_EQ(got.power_cycles, want.power_cycles) << what;
+  EXPECT_EQ(got.data_losses, want.data_losses) << what;
+}
+
+TEST(EccScrubTest, BurstScrubMatchesThePerWordWalk) {
+  // 1000 words is no multiple of the 64- or 256-word kernel blocks, so
+  // bursts straddle superblocks and the chip's end at every step size.
+  constexpr std::size_t kWords = 1000;
+  for (const std::size_t step : {std::size_t{1}, std::size_t{63},
+                                 std::size_t{257}, std::size_t{700}}) {
+    const std::string what = "step " + std::to_string(step);
+    MemoryChip chip(kWords);
+    MemoryChip ref_chip(kWords);
+    EccScrubAccess m(chip, step);
+    PerWordScrub ref{ref_chip, step};
+    Xoshiro256 rng(4242 + step);
+    for (std::size_t a = 0; a < kWords; ++a) {
+      const Word72 w = ecc_encode(rng.next());
+      chip.write(a, w);
+      ref_chip.write(a, w);
+    }
+    const auto flip = [&](std::size_t addr, unsigned bit) {
+      chip.inject_bit_flip(addr, bit);
+      ref_chip.inject_bit_flip(addr, bit);
+    };
+    // A stuck-at cell holding the opposite of its stored bit: every pass
+    // corrects the word, and the write-back never sticks.
+    const bool stored = aft::hw::get_bit(chip.read(500).word, 13);
+    chip.inject_stuck_at(500, 13, !stored);
+    ref_chip.inject_stuck_at(500, 13, !stored);
+    // Every word of the first burst flipped, and then some.
+    for (std::size_t a = 0; a < 300; ++a) flip(a, static_cast<unsigned>(a % 72));
+
+    aft::obs::TraceSink sink;
+    aft::obs::TraceSink ref_sink;
+    for (int round = 0; round < 6; ++round) {
+      for (int k = 0; k < 40; ++k) {
+        const auto addr = static_cast<std::size_t>(rng.uniform_int(0, kWords - 1));
+        const auto b1 = static_cast<unsigned>(rng.uniform_int(0, 71));
+        flip(addr, b1);
+        if (k % 4 == 0) {  // a double flip, which the scrub leaves alone
+          flip(addr, (b1 + 1 + static_cast<unsigned>(rng.uniform_int(0, 70))) % 72);
+        }
+      }
+      // Enough steps for at least one full pass at every step size.
+      const std::size_t steps = kWords / step + 2;
+      for (std::size_t k = 0; k < steps; ++k) {
+        {
+          aft::obs::ScopedObs obs(&sink, nullptr);
+          m.scrub_step();
+        }
+        aft::obs::ScopedObs obs(&ref_sink, nullptr);
+        ref.scrub_step();
+      }
+      expect_same_stats(m.stats(), ref.stats, what);
+      for (std::size_t a = 0; a < kWords; ++a) {
+        ASSERT_EQ(chip.read(a).word, ref_chip.read(a).word) << what << " addr " << a;
+      }
+    }
+    EXPECT_GT(ref.stats.corrected_singles, 300u) << what;
+    EXPECT_EQ(sink.jsonl(), ref_sink.jsonl()) << what;
+  }
 }
 
 // --- M2 ECC + remap ---------------------------------------------------------------

@@ -9,14 +9,16 @@
 #
 #   abl_cluster_adaptation, abl_open_loop (AFT_TRAFFIC_CLIENTS=1000),
 #   abl_slo_adaptation, abl_retry_policy, abl_switchboard_policy,
-#   fig6_adaptation
+#   fig6_adaptation, abl_scrub_cadence, abl_memory_methods,
+#   abl_adaptive_memory
 #       stdout, --trace JSONL, --trace-format bin and --metrics
 #   fig7_redundancy_histogram (AFT_FIG7_STEPS=500000), mission_simulator,
 #   adaptive_redundancy
 #       stdout
 #
 # abl_switchboard_policy's frugal rows and adaptive_redundancy vote rounds
-# with no majority, the ones the voter still sorts.
+# with no majority, the ones the voter still sorts.  The three memory
+# benches run the patrol scrub and its corrected-word trace records.
 #
 # Every run's exit status is kept too.  Each output of the tree is compared
 # with `cmp` against <ref>'s; one line per file is printed and the script
@@ -38,7 +40,8 @@ generator=()
 command -v ninja > /dev/null && generator=(-G Ninja)
 
 traced=(abl_cluster_adaptation abl_open_loop abl_slo_adaptation abl_retry_policy
-        abl_switchboard_policy fig6_adaptation)
+        abl_switchboard_policy fig6_adaptation abl_scrub_cadence
+        abl_memory_methods abl_adaptive_memory)
 examples=(mission_simulator adaptive_redundancy)
 
 build() {  # <source dir> <build dir> <log>
