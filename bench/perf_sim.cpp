@@ -16,7 +16,9 @@
 // <10%), the binary-vs-JSONL trace size ratio, and two ungated kernel
 // profiles against the reference: the fig7 daemon/burst shape and the
 // open-loop timer mix (thousands of long deadline timers parked beside
-// short-delay traffic).  The process still exits
+// short-delay traffic), plus an ungated kernel-only row: requests whose
+// replies cancel their deadlines against requests whose deadlines fire
+// stale (timer_cancel).  The process still exits
 // 0 in non-Release builds, where the gates are informational.
 #include <algorithm>
 #include <chrono>
@@ -91,13 +93,10 @@ class RefSimulator {
     now_ = e.when;
     ++executed_;
 #if !defined(AFT_OBS_DISABLED)
+    aft::obs::set_obs_time(now_);
     if (aft::obs::TraceSink* sink = aft::obs::trace(); sink != nullptr) {
-      sink->set_time(now_);
       sink->set_cause(e.cause);
       if (sink->detail()) sink->emit("sim", "dispatch", {{"eseq", e.seq}});
-    } else if (aft::obs::FlightRecorder* recorder = aft::obs::flight();
-               recorder != nullptr) {
-      recorder->set_time(now_);
     }
 #endif
     e.action();
@@ -490,6 +489,56 @@ double timer_mix_rate(SimTime horizon) {
   return static_cast<double>(events) / secs;
 }
 
+// --- timer_cancel: replies that cancel their deadlines vs stale firing ------
+//
+// The RPC shape: one request per tick arms a 15-tick attempt deadline (near
+// tier) and a 5000-tick client deadline (far tier), and its reply, 2 ticks
+// later, completes it.  With `cancel` the reply cancels both timers;
+// without it both fire long after, find their request done and return —
+// what every deadline did before the kernel could cancel.  Ungated: the
+// row reports what a cancel saves per request.
+
+struct TimerRequests {
+  aft::sim::Simulator* sim;
+  std::uint64_t* completed;
+  bool cancel;
+  std::uint64_t next = 0;
+  void arm() {
+    sim->schedule_in(1, [this] {
+      const std::uint64_t id = ++next;
+      const auto deadline = [done = completed, id] {
+        if (*done < id) ++g_sink;  // never: the reply always came first
+      };
+      const aft::sim::Simulator::Handle near = sim->schedule_in(15, deadline);
+      const aft::sim::Simulator::Handle far = sim->schedule_in(5000, deadline);
+      sim->schedule_in(2, [this, id, near, far] {
+        *completed = id;
+        if (cancel) {
+          sim->cancel(near);
+          sim->cancel(far);
+        }
+      });
+      arm();
+    });
+  }
+};
+
+/// Requests per second over `horizon` ticks, one request per tick.
+double timer_requests_rate(bool cancel, SimTime horizon) {
+  double secs = 1e300;
+  for (int r = -1; r < kRepeats; ++r) {  // r == -1: untimed warmup pass
+    aft::sim::Simulator sim;
+    std::uint64_t completed = 0;
+    TimerRequests requests{&sim, &completed, cancel};
+    requests.arm();
+    const auto t0 = Clock::now();
+    sim.run_until(horizon);
+    if (r >= 0) secs = std::min(secs, seconds_since(t0));
+    g_sink ^= completed;
+  }
+  return static_cast<double>(horizon) / secs;
+}
+
 // --- metrics_observe: LogHistogram::add vs RunningStats::add -----------------
 //
 // MetricsRegistry::observe feeds every sample into both accumulators, so the
@@ -656,6 +705,8 @@ int main() {
   const double fig7_ref = fig7_shape_rate<RefSimulator>(kFig7Horizon);
   const double mix_kernel = timer_mix_rate<aft::sim::Simulator>(kMixHorizon);
   const double mix_ref = timer_mix_rate<RefSimulator>(kMixHorizon);
+  const double cancel_rate = timer_requests_rate(/*cancel=*/true, kMixHorizon);
+  const double stale_rate = timer_requests_rate(/*cancel=*/false, kMixHorizon);
 
   const std::vector<double> stream = latency_stream();
   const double welford_ns = welford_add_ns(stream);
@@ -672,6 +723,10 @@ int main() {
   row("daemon mesh (bus)", mesh_kernel_rate, mesh_ref_rate, "Mmsgs/s");
   row("fig7 shape       ", fig7_kernel, fig7_ref, "Mevents/s");
   row("timer mix        ", mix_kernel, mix_ref, "Mevents/s");
+  std::cout << "  timer cancel     : " << json_number(cancel_rate / 1e6)
+            << " Mreq/s cancelling vs " << json_number(stale_rate / 1e6)
+            << " Mreq/s firing stale  (" << json_number(cancel_rate / stale_rate)
+            << "x)\n";
   std::cout << "  mesh trace       : " << json_number(overhead_frac * 100)
             << "% full-detail overhead; binary " << trace_bin.size()
             << " B vs JSONL " << trace_jsonl.size() << " B ("
@@ -722,6 +777,10 @@ int main() {
        << json_number(mix_kernel)
        << ", \"ref_events_per_sec\": " << json_number(mix_ref)
        << ", \"speedup\": " << json_number(mix_kernel / mix_ref) << "},\n"
+       << "  \"timer_cancel\": {\"cancel_requests_per_sec\": "
+       << json_number(cancel_rate)
+       << ", \"stale_requests_per_sec\": " << json_number(stale_rate)
+       << ", \"speedup\": " << json_number(cancel_rate / stale_rate) << "},\n"
        << "  \"metrics_observe\": {\"hist_add_ns\": " << json_number(hist_ns)
        << ", \"welford_add_ns\": " << json_number(welford_ns)
        << ", \"ratio\": " << json_number(observe_ratio) << "},\n"

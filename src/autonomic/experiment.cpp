@@ -16,6 +16,13 @@ ExperimentResult run_adaptation_experiment(
   // Hoisted once: the experiment loop runs tens of millions of iterations,
   // so even the TLS load inside the AFT_* macros is too much per step.
   obs::TraceSink* const sink = obs::trace();
+  // The loop stamps its records with its step but has never advanced the
+  // metrics clock, so vote.farm.round_gap, read as a round closes, is 0
+  // here.  With one obs clock the loop keeps that apart explicitly: the
+  // clock holds the step while records are taken and, when a registry is
+  // installed, its entry value while a round closes.
+  const bool metered = obs::metrics() != nullptr;
+  const std::uint64_t metrics_t = obs::obs_time();
 
   // The replicated method: the correct output is input + 1; a disturbed
   // replica returns a replica-specific wrong value (distinct wrong values,
@@ -31,16 +38,16 @@ ExperimentResult run_adaptation_experiment(
       [&](vote::Ballot input, std::size_t replica) -> vote::Ballot {
         if (corruption_prob > 0.0 && rng.bernoulli(corruption_prob)) {
           ++faults_injected;
+          obs::set_obs_time(step);
           if (sink != nullptr) {
             const obs::EventId id =
                 sink->emit("hw.inject", "corrupt",
                            {{"step", step}, {"replica", replica}});
             if (id != obs::kNoEvent) sink->set_cause(id);
-          } else if (obs::FlightRecorder* fr = obs::flight(); fr != nullptr) {
-            fr->set_time(step);
-            fr->record(step, "hw.inject", "corrupt", obs::kNoEvent,
-                       obs::kNoEvent);
+          } else {
+            obs::flight_note("hw.inject", "corrupt");
           }
+          if (metered) obs::set_obs_time(metrics_t);
           return input + 2 + static_cast<vote::Ballot>(replica);
         }
         return input + 1;
@@ -53,7 +60,7 @@ ExperimentResult run_adaptation_experiment(
     corruption_prob = phase.corruption_prob;
     std::optional<obs::SpanGuard> phase_span;
     if (sink != nullptr) {
-      sink->set_time(step);
+      obs::set_obs_time(step);
       phase_span.emplace("autonomic.experiment",
                          phase.corruption_prob > 0.0 ? "burst" : "calm");
       sink->emit("autonomic.experiment", "phase",
@@ -63,13 +70,14 @@ ExperimentResult run_adaptation_experiment(
     for (std::uint64_t i = 0; i < phase.duration; ++i, ++step) {
       const std::uint64_t faults_before = faults_injected;
       if (sink != nullptr) {
-        sink->set_time(step);
+        obs::set_obs_time(metered ? metrics_t : step);
         // Every round starts a fresh causal turn; without the reset a
         // quiet round would inherit the previous round's chain.
         sink->set_cause(obs::kNoEvent);
       }
       const vote::RoundReport report =
           farm.invoke(static_cast<vote::Ballot>(step));
+      if (sink != nullptr) obs::set_obs_time(step);
       if (sink != nullptr && report.dissent > 0) {
         // Dissent is the detector-side symptom the injected corruption
         // produced; the event inherits the injection as its cause and in

@@ -28,14 +28,10 @@ void HeartbeatMonitor::watch(ChannelId channel, sim::SimTime deadline) {
   if (ch.active) {
     throw std::invalid_argument("HeartbeatMonitor: channel already watched");
   }
-  // Bump the epoch so a check chain left pending by an earlier
-  // watch()/unwatch() of this channel dies instead of running alongside
-  // the fresh one (which would double-count every subsequent window).
-  const std::uint64_t epoch = ch.epoch + 1;
-  ch = Channel{deadline, false, true, epoch, 0};
+  ch = Channel{deadline, false, true, 0, {}};
   AFT_TRACE("detect.heartbeat", "watch",
             {{"channel", discriminator_.name(channel)}, {"deadline", deadline}});
-  schedule_check(channel, epoch, deadline);
+  schedule_check(channel, deadline);
 }
 
 void HeartbeatMonitor::beat(ChannelId channel) {
@@ -45,19 +41,18 @@ void HeartbeatMonitor::beat(ChannelId channel) {
   channels_[channel].beaten = true;
 }
 
-void HeartbeatMonitor::schedule_check(ChannelId channel, std::uint64_t epoch,
-                                      sim::SimTime delay) {
-  // {this, id, epoch} = 24 bytes and no name: the continuation fits the
-  // kernel's inline budget whatever the channel names, so no window allocates.
-  auto chain = [this, channel, epoch] { check(channel, epoch); };
+void HeartbeatMonitor::schedule_check(ChannelId channel, sim::SimTime delay) {
+  // {this, id} and no name: the continuation fits the kernel's inline
+  // budget whatever the channel names, so no window allocates.
+  auto chain = [this, channel] { check(channel); };
   static_assert(sim::Simulator::fits_inline<decltype(chain)>,
                 "heartbeat check chain must schedule allocation-free");
-  sim_.schedule_in(delay, std::move(chain));
+  channels_[channel].check = sim_.schedule_in(delay, std::move(chain));
 }
 
-void HeartbeatMonitor::check(ChannelId channel, std::uint64_t epoch) {
+void HeartbeatMonitor::check(ChannelId channel) {
   Channel& ch = channels_[channel];
-  if (!ch.active || epoch != ch.epoch) return;  // unwatched or superseded
+  const sim::Simulator::Handle self = ch.check;
   const bool missed = !ch.beaten;
   ch.beaten = false;
   if (missed) {
@@ -73,7 +68,10 @@ void HeartbeatMonitor::check(ChannelId channel, std::uint64_t epoch) {
   }
   // Every window is one alpha-count judgment round for this channel.
   discriminator_.record(channel, missed);
-  schedule_check(channel, epoch, channels_[channel].deadline);
+  // A miss handler that unwatched (and perhaps re-watched) the channel
+  // ended this chain.
+  const Channel& now = channels_[channel];
+  if (now.active && now.check == self) schedule_check(channel, now.deadline);
 }
 
 }  // namespace aft::detect

@@ -29,16 +29,20 @@ class HeartbeatMonitor {
   ChannelId watch(std::string name, sim::SimTime deadline);
 
   /// Re-watches a channel that watch(name) minted and unwatch() stopped
-  /// (a watched one throws).  It starts a single fresh check chain: any
-  /// check left pending by the earlier registration is invalidated (epoch
-  /// guard), so an unwatch()/watch() cycle cannot double-count windows.
+  /// (a watched one throws).  It starts a single fresh check chain:
+  /// unwatch() cancels the earlier registration's pending check, so an
+  /// unwatch()/watch() cycle cannot double-count windows.
   void watch(ChannelId channel, sim::SimTime deadline);
 
   /// Liveness beat from a component.  Unwatched channels throw.
   void beat(ChannelId channel);
 
   /// Stops checking a channel (e.g. after decommissioning the component).
-  void unwatch(ChannelId channel) { channels_.at(channel).active = false; }
+  void unwatch(ChannelId channel) {
+    Channel& ch = channels_.at(channel);
+    ch.active = false;
+    sim_.cancel(ch.check);
+  }
 
   void set_miss_handler(MissHandler handler) { on_missed_ = std::move(handler); }
 
@@ -55,12 +59,12 @@ class HeartbeatMonitor {
     sim::SimTime deadline = 0;
     bool beaten = false;
     bool active = false;
-    std::uint64_t epoch = 0;  ///< bumped per watch(); stale chains self-cancel
     std::uint64_t consecutive_misses = 0;
+    sim::Simulator::Handle check;  ///< the pending window check
   };
 
-  void check(ChannelId channel, std::uint64_t epoch);
-  void schedule_check(ChannelId channel, std::uint64_t epoch, sim::SimTime delay);
+  void check(ChannelId channel);
+  void schedule_check(ChannelId channel, sim::SimTime delay);
 
   sim::Simulator& sim_;
   FaultDiscriminator& discriminator_;

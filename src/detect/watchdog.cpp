@@ -14,21 +14,16 @@ Watchdog::Watchdog(sim::Simulator& sim, sim::SimTime deadline,
 }
 
 void Watchdog::start() {
-  if (running_) return;
-  running_ = true;
+  if (pending_ != sim::Simulator::Handle{}) return;  // running
   kicked_ = false;
-  // A check scheduled before a stop() may still be pending; bumping the
-  // epoch cancels it, otherwise a stop()/start() cycle inside one deadline
-  // would leave TWO live chains, double-counting every window from then on.
-  const std::uint64_t epoch = ++epoch_;
-  auto chain = [this, epoch] { check_window(epoch); };
+  auto chain = [this] { check_window(); };
   static_assert(sim::Simulator::fits_inline<decltype(chain)>,
                 "watchdog window chain must schedule allocation-free");
-  sim_.schedule_in(deadline_, std::move(chain));
+  pending_ = sim_.schedule_in(deadline_, std::move(chain));
 }
 
-void Watchdog::check_window(std::uint64_t epoch) {
-  if (!running_ || epoch != epoch_) return;
+void Watchdog::check_window() {
+  const sim::Simulator::Handle self = pending_;
   ++windows_;
   if (!kicked_) {
     ++firings_;
@@ -38,7 +33,11 @@ void Watchdog::check_window(std::uint64_t epoch) {
     on_fire_(sim_.now());
   }
   kicked_ = false;
-  sim_.schedule_in(deadline_, [this, epoch] { check_window(epoch); });
+  // An on_fire handler that stopped (and perhaps restarted) the watchdog
+  // ended this chain.
+  if (pending_ == self) {
+    pending_ = sim_.schedule_in(deadline_, [this] { check_window(); });
+  }
 }
 
 WatchedTask::WatchedTask(sim::Simulator& sim, Watchdog& dog, sim::SimTime period)
@@ -47,17 +46,14 @@ WatchedTask::WatchedTask(sim::Simulator& sim, Watchdog& dog, sim::SimTime period
 }
 
 void WatchedTask::start() {
-  if (running_) return;
-  running_ = true;
-  const std::uint64_t epoch = ++epoch_;
-  auto chain = [this, epoch] { tick(epoch); };
+  if (pending_ != sim::Simulator::Handle{}) return;  // running
+  auto chain = [this] { tick(); };
   static_assert(sim::Simulator::fits_inline<decltype(chain)>,
                 "watched-task tick chain must schedule allocation-free");
-  sim_.schedule_in(period_, std::move(chain));
+  pending_ = sim_.schedule_in(period_, std::move(chain));
 }
 
-void WatchedTask::tick(std::uint64_t epoch) {
-  if (!running_ || epoch != epoch_) return;
+void WatchedTask::tick() {
   if (permanently_faulty_) {
     // The task is wedged: no kick, ever again.
   } else if (transient_misses_ > 0) {
@@ -66,7 +62,7 @@ void WatchedTask::tick(std::uint64_t epoch) {
     dog_.kick();
     ++kicks_;
   }
-  sim_.schedule_in(period_, [this, epoch] { tick(epoch); });
+  pending_ = sim_.schedule_in(period_, [this] { tick(); });
 }
 
 }  // namespace aft::detect

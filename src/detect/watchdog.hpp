@@ -20,13 +20,16 @@ class Watchdog {
            std::function<void(sim::SimTime)> on_fire);
 
   /// Arms the watchdog (schedules the first window check).  Restarting
-  /// after stop() opens a fresh window chain: any check still pending from
-  /// the previous arming is invalidated (epoch guard), so stop()/start()
-  /// churn can never leave two concurrent chains double-counting windows.
+  /// after stop() opens a fresh window chain: stop() cancelled the previous
+  /// arming's pending check, so stop()/start() churn can never leave two
+  /// concurrent chains double-counting windows.
   void start();
 
-  /// Disarms after the current window elapses.
-  void stop() noexcept { running_ = false; }
+  /// Disarms: the current window is never judged.
+  void stop() noexcept {
+    sim_.cancel(pending_);
+    pending_ = {};
+  }
 
   /// Heartbeat from the watched task.
   void kick() noexcept { kicked_ = true; }
@@ -39,14 +42,13 @@ class Watchdog {
   [[nodiscard]] sim::SimTime deadline() const noexcept { return deadline_; }
 
  private:
-  void check_window(std::uint64_t epoch);
+  void check_window();
 
   sim::Simulator& sim_;
   sim::SimTime deadline_;
   std::function<void(sim::SimTime)> on_fire_;
-  bool running_ = false;
   bool kicked_ = false;
-  std::uint64_t epoch_ = 0;  ///< bumped by start(); stale chains self-cancel
+  sim::Simulator::Handle pending_;  ///< the next window check; empty when stopped
   std::uint64_t firings_ = 0;
   std::uint64_t windows_ = 0;
 };
@@ -59,8 +61,13 @@ class WatchedTask {
  public:
   WatchedTask(sim::Simulator& sim, Watchdog& dog, sim::SimTime period);
 
+  /// Starts kicking; stop() cancels the pending tick, so a stop()/start()
+  /// cycle leaves one tick chain.
   void start();
-  void stop() noexcept { running_ = false; }
+  void stop() noexcept {
+    sim_.cancel(pending_);
+    pending_ = {};
+  }
 
   /// Injects a permanent design fault: the task stops kicking forever.
   void inject_permanent_fault() noexcept { permanently_faulty_ = true; }
@@ -82,13 +89,12 @@ class WatchedTask {
   }
 
  private:
-  void tick(std::uint64_t epoch);
+  void tick();
 
   sim::Simulator& sim_;
   Watchdog& dog_;
   sim::SimTime period_;
-  std::uint64_t epoch_ = 0;  ///< same restart guard as Watchdog
-  bool running_ = false;
+  sim::Simulator::Handle pending_;  ///< the next tick; empty when stopped
   bool permanently_faulty_ = false;
   std::uint64_t transient_misses_ = 0;
   std::uint64_t kicks_ = 0;

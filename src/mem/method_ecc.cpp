@@ -72,7 +72,7 @@ void EccScrubAccess::scrub_step() {
     // that wraps the cursor back to it.
     if (addr == 0 && reg != nullptr) {
       sweep_open_ = true;
-      sweep_start_t_ = reg->time();
+      sweep_start_t_ = obs::obs_time();
     }
     const std::size_t run = std::min({remaining, words - addr, kEccBatchBurst});
     if (!chip_.read_block(addr, run, buf)) return;
@@ -92,10 +92,10 @@ void EccScrubAccess::scrub_step() {
     }
     scrub_cursor_ = addr + run == words ? 0 : addr + run;
     if (scrub_cursor_ == 0 && sweep_open_ && reg != nullptr &&
-        reg->time() >= sweep_start_t_) {
+        obs::obs_time() >= sweep_start_t_) {
       sweep_open_ = false;
       reg->observe("mem.scrub.sweep_ticks",
-                   static_cast<double>(reg->time() - sweep_start_t_));
+                   static_cast<double>(obs::obs_time() - sweep_start_t_));
     }
     remaining -= run;
   }

@@ -13,14 +13,12 @@ ScrubberDaemon::ScrubberDaemon(sim::Simulator& sim, IMemoryAccessMethod& method,
 }
 
 void ScrubberDaemon::start() {
-  if (running_) return;
-  running_ = true;
-  const std::uint64_t epoch = ++epoch_;
+  if (running()) return;
   AFT_TRACE("mem.scrub", "start", {{"period", period_}});
-  auto chain = [this, epoch] { pass(epoch); };
+  auto chain = [this] { pass(); };
   static_assert(sim::Simulator::fits_inline<decltype(chain)>,
                 "scrubber pass chain must schedule allocation-free");
-  sim_.schedule_in(period_, std::move(chain));
+  pending_ = sim_.schedule_in(period_, std::move(chain));
 }
 
 void ScrubberDaemon::set_period(sim::SimTime period) {
@@ -28,15 +26,14 @@ void ScrubberDaemon::set_period(sim::SimTime period) {
   period_ = period;
 }
 
-void ScrubberDaemon::pass(std::uint64_t epoch) {
-  if (!running_ || epoch != epoch_) return;
+void ScrubberDaemon::pass() {
   ++passes_;
   method_.scrub_step();
   AFT_METRIC_ADD("mem.scrub.passes", 1);
   if (obs::TraceSink* sink = obs::trace(); sink != nullptr && sink->detail()) {
     sink->emit("mem.scrub", "pass", {{"n", passes_}});
   }
-  sim_.schedule_in(period_, [this, epoch] { pass(epoch); });
+  pending_ = sim_.schedule_in(period_, [this] { pass(); });
 }
 
 }  // namespace aft::mem

@@ -19,10 +19,17 @@ class ScrubberDaemon {
   ScrubberDaemon(sim::Simulator& sim, IMemoryAccessMethod& method,
                  sim::SimTime period);
 
+  /// Starts the pass chain; stop() cancels its pending pass, so a
+  /// stop()/start() cycle leaves one chain (two would double the scrub rate).
   void start();
-  void stop() noexcept { running_ = false; }
+  void stop() noexcept {
+    sim_.cancel(pending_);
+    pending_ = {};
+  }
 
-  [[nodiscard]] bool running() const noexcept { return running_; }
+  [[nodiscard]] bool running() const noexcept {
+    return pending_ != sim::Simulator::Handle{};
+  }
   [[nodiscard]] std::uint64_t passes() const noexcept { return passes_; }
   [[nodiscard]] sim::SimTime period() const noexcept { return period_; }
 
@@ -30,17 +37,13 @@ class ScrubberDaemon {
   void set_period(sim::SimTime period);
 
  private:
-  void pass(std::uint64_t epoch);
+  void pass();
 
   sim::Simulator& sim_;
   IMemoryAccessMethod& method_;
   sim::SimTime period_;
-  bool running_ = false;
   std::uint64_t passes_ = 0;
-  // Bumped by start(); a pass chain scheduled before a stop()/start() cycle
-  // carries the old epoch and self-cancels instead of running alongside the
-  // fresh chain (which would double the effective scrub rate).
-  std::uint64_t epoch_ = 0;
+  sim::Simulator::Handle pending_;  ///< the next pass; empty when stopped
 };
 
 }  // namespace aft::mem

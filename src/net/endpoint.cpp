@@ -109,32 +109,24 @@ void Endpoint::start_attempt(std::uint64_t id) {
   request.payload = c.payload;
   request.origin = name_;
   out_->send(std::move(request));
-  auto timeout = [this, id, attempt = c.attempt] {
-    attempt_timed_out(id, attempt);
-  };
+  // Cancelled by a reply, a failure or completion, so it fires only for an
+  // attempt still waiting.
+  auto timeout = [this, id] { attempt_failed(id, "deadline"); };
   static_assert(sim::Simulator::fits_inline<decltype(timeout)>,
                 "rpc deadline check must schedule allocation-free");
-  sim_.schedule_in(c.options.deadline, std::move(timeout));
-}
-
-void Endpoint::attempt_timed_out(std::uint64_t id, std::uint32_t attempt) {
-  const Call* c = find_call(id);
-  // Completed, or already retried past this attempt: the deadline event is
-  // stale (epoch-guarded by the attempt number + slot generation).
-  if (c == nullptr || c->attempt != attempt) return;
-  attempt_failed(id, "deadline");
+  c.timer = sim_.schedule_in(c.options.deadline, std::move(timeout));
 }
 
 void Endpoint::attempt_failed(std::uint64_t id,
                               [[maybe_unused]] const char* reason) {
   Call& c = *find_call(id);
-  // One failure per attempt: an app-error response leaves the attempt's
-  // deadline timer armed, and a duplicated failing response can arrive
-  // twice — either would fail the same attempt again during the backoff,
+  // One failure per attempt: a duplicated failing response can arrive
+  // twice, and would fail the same attempt again during the backoff,
   // double-counting breaker/failure evidence and possibly finishing the
   // call while its retry is scheduled.
   if (c.failed) return;
   c.failed = true;
+  sim_.cancel(c.timer);  // an app-error leaves the deadline armed
   if (c.options.breaker != nullptr) c.options.breaker->record(false, c.probe);
   ++counters_.attempt_failures;
   AFT_METRIC_ADD("net.rpc.attempt_failures", 1);
@@ -156,18 +148,17 @@ void Endpoint::attempt_failed(std::uint64_t id,
   }
   AFT_TRACE("net.rpc", "backoff",
             {{"endpoint", name_}, {"id", id}, {"delay", backoff}});
-  auto retry = [this, id] {
-    // A late success may have completed the call during the backoff.
-    if (find_call(id) != nullptr) start_attempt(id);
-  };
+  // A late success that completes the call during the backoff cancels it.
+  auto retry = [this, id] { start_attempt(id); };
   static_assert(sim::Simulator::fits_inline<decltype(retry)>,
                 "rpc retry must schedule allocation-free");
-  sim_.schedule_in(backoff, std::move(retry));
+  c.timer = sim_.schedule_in(backoff, std::move(retry));
 }
 
 void Endpoint::finish(std::uint64_t id, RpcStatus status,
                       std::string payload) {
   Call& c = *find_call(id);
+  sim_.cancel(c.timer);
   switch (status) {
     case RpcStatus::kOk: ++counters_.ok; break;
     case RpcStatus::kCircuitOpen: ++counters_.circuit_open; break;
@@ -327,20 +318,20 @@ void Endpoint::start_heartbeats(sim::SimTime period) {
     throw std::invalid_argument("Endpoint: heartbeat period must be > 0");
   }
   hb_period_ = period;
-  heartbeat_tick(++hb_epoch_);
+  sim_.cancel(hb_timer_);  // a restart replaces the running chain
+  heartbeat_tick();
 }
 
-void Endpoint::heartbeat_tick(std::uint64_t epoch) {
-  if (epoch != hb_epoch_) return;  // superseded by stop/restart
+void Endpoint::heartbeat_tick() {
   Frame beat;
   beat.kind = FrameKind::kHeartbeat;
   beat.id = ++hb_seq_;
   beat.origin = name_;
   out_->send(std::move(beat));
-  auto chain = [this, epoch] { heartbeat_tick(epoch); };
+  auto chain = [this] { heartbeat_tick(); };
   static_assert(sim::Simulator::fits_inline<decltype(chain)>,
                 "heartbeat emitter must schedule allocation-free");
-  sim_.schedule_in(hb_period_, std::move(chain));
+  hb_timer_ = sim_.schedule_in(hb_period_, std::move(chain));
 }
 
 }  // namespace aft::net

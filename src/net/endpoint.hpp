@@ -126,8 +126,8 @@ class Endpoint {
 
   /// Async server handler: decides *when* to reply via the Responder
   /// (possibly ticks later).  Note that a duplicated request frame invokes
-  /// the handler once per copy — the duplicate's response is epoch-guarded
-  /// away client-side, but server-side work is not deduplicated.
+  /// the handler once per copy — the duplicate's response is dropped as
+  /// stale client-side, but server-side work is not deduplicated.
   using AsyncHandler =
       std::function<void(const std::string& request, Responder responder)>;
 
@@ -155,7 +155,7 @@ class Endpoint {
 
   /// Emits a heartbeat now and then every `period` ticks until stopped.
   void start_heartbeats(sim::SimTime period);
-  void stop_heartbeats() noexcept { ++hb_epoch_; }
+  void stop_heartbeats() noexcept { sim_.cancel(hb_timer_); }
   void on_heartbeat(HeartbeatHandler handler) {
     heartbeat_handler_ = std::move(handler);
   }
@@ -176,9 +176,9 @@ class Endpoint {
   /// In-flight call state, parked in a freelist-recycled slot vector (the
   /// util::SlotPool idiom, inlined here because slots carry a generation):
   /// the wire call id is (generation << 32) | slot, so a recycled slot
-  /// invalidates every stale reference to its previous occupant — late
-  /// timers and duplicate responses fail the generation check exactly like
-  /// they used to fail the map lookup, but steady-state call traffic no
+  /// invalidates every stale reference to its previous occupant — late and
+  /// duplicate responses fail the generation check exactly like they used
+  /// to fail the map lookup, but steady-state call traffic no
   /// longer allocates a map node per call, and recycled slots keep their
   /// method/payload string capacity.
   struct Call {
@@ -188,11 +188,12 @@ class Endpoint {
     Callback callback;
     std::uint32_t attempt = 0;  ///< current attempt number (1-based)
     sim::SimTime started = 0;
-    /// The current attempt already failed and its retry is pending.  The
-    /// attempt number alone cannot epoch-guard this window: an app-error
-    /// failure leaves the attempt's deadline timer armed, and if it fires
-    /// during the backoff `attempt` still matches.
+    /// The current attempt already failed and its retry is pending: a
+    /// duplicated failing response still carries the attempt's number.
     bool failed = false;
+    /// The call's one pending timer: the current attempt's deadline, or
+    /// the retry during a backoff.  Cancelled when either stops mattering.
+    sim::Simulator::Handle timer;
     /// Breaker admission token of the current attempt (kNotAProbe when the
     /// call has no breaker or was not admitted as a half-open probe).
     CircuitBreaker::ProbeToken probe = CircuitBreaker::kNotAProbe;
@@ -204,10 +205,9 @@ class Endpoint {
   void handle_request(Frame&& frame);
   void handle_response(Frame&& frame);
   void start_attempt(std::uint64_t id);
-  void attempt_timed_out(std::uint64_t id, std::uint32_t attempt);
   void attempt_failed(std::uint64_t id, const char* reason);
   void finish(std::uint64_t id, RpcStatus status, std::string payload);
-  void heartbeat_tick(std::uint64_t epoch);
+  void heartbeat_tick();
   void async_respond(std::uint64_t id, std::uint32_t aux, bool ok,
                      bool rejected, std::string&& payload);
   /// The live Call behind `id`, or nullptr when the id is stale (completed
@@ -226,7 +226,7 @@ class Endpoint {
   DataHandler data_handler_;
   HeartbeatHandler heartbeat_handler_;
   sim::SimTime hb_period_ = 0;
-  std::uint64_t hb_epoch_ = 0;
+  sim::Simulator::Handle hb_timer_;  ///< the next beat
   std::uint64_t hb_seq_ = 0;
   std::uint64_t data_seq_ = 0;
   std::uint64_t heartbeats_received_ = 0;

@@ -21,20 +21,6 @@ std::int64_t id_or_minus_one(EventId id) noexcept {
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : ring_(capacity == 0 ? 1 : capacity) {}
 
-void FlightRecorder::record(std::uint64_t t, std::string_view component,
-                            std::string_view event, EventId span,
-                            EventId cause) noexcept {
-  FlightRecord& slot = ring_[head_];
-  slot.t = t;
-  slot.component = component;
-  slot.event = event;
-  slot.span = span;
-  slot.cause = cause;
-  if (++head_ == ring_.size()) head_ = 0;
-  if (size_ < ring_.size()) ++size_;
-  ++recorded_;
-}
-
 std::vector<FlightRecord> FlightRecorder::snapshot() const {
   std::vector<FlightRecord> out;
   out.reserve(size_);
@@ -85,28 +71,29 @@ bool FlightRecorder::enabled() { return default_capacity() > 0; }
 
 namespace {
 
-thread_local FlightRecorder* tl_flight_override = nullptr;
-/// True while a dump replays records into the TraceSink, so the replay's
-/// own emits do not re-enter the freshly drained ring.
-thread_local bool tl_flight_suppressed = false;
-
-}  // namespace
-
-FlightRecorder* flight() noexcept {
+/// The thread's own recorder, built on its first record; nullptr under
+/// AFT_FLIGHT=0.
+FlightRecorder* thread_default() noexcept {
   static const bool enabled = FlightRecorder::enabled();  // AFT_FLIGHT, once
-  if (!enabled || tl_flight_suppressed) return nullptr;
-  if (tl_flight_override != nullptr) return tl_flight_override;
+  if (!enabled) return nullptr;
   static thread_local FlightRecorder tl_default;
   return &tl_default;
 }
 
-void set_flight(FlightRecorder* recorder) noexcept {
-  tl_flight_override = recorder;
+}  // namespace
+
+void detail::install_thread_flight(std::uint64_t t, std::string_view component,
+                                   std::string_view event, EventId span,
+                                   EventId cause) noexcept {
+  t_flight = thread_default();
+  if (t_flight != nullptr) t_flight->record(t, component, event, span, cause);
 }
 
-void flight_note(std::string_view component, std::string_view event) noexcept {
-  if (FlightRecorder* recorder = flight(); recorder != nullptr) {
-    recorder->record(recorder->time(), component, event, kNoEvent, kNoEvent);
+void set_flight(FlightRecorder* recorder) noexcept {
+  if (recorder == nullptr) {
+    detail::t_flight = &FlightRecorder::placeholder;
+  } else {
+    detail::t_flight = FlightRecorder::enabled() ? recorder : nullptr;
   }
 }
 
@@ -117,7 +104,13 @@ void flight_dump(std::string_view reason) {
   recorder->clear();
 
   if (TraceSink* sink = trace(); sink != nullptr) {
-    tl_flight_suppressed = true;
+    // Null the recorder while the records replay, so the replay's own
+    // emits do not re-enter the freshly drained ring.
+    struct Suppress {
+      FlightRecorder* recorder;
+      ~Suppress() { detail::t_flight = recorder; }
+    } const suppress{recorder};
+    detail::t_flight = nullptr;
     sink->emit("flight", "dump",
                {{"reason", reason}, {"records", records.size()}});
     for (const FlightRecord& r : records) {
@@ -128,7 +121,6 @@ void flight_dump(std::string_view reason) {
                   {"rspan", id_or_minus_one(r.span)},
                   {"rcause", id_or_minus_one(r.cause)}});
     }
-    tl_flight_suppressed = false;
     return;
   }
 
@@ -146,6 +138,14 @@ void flight_dump(std::string_view reason) {
   }
   std::fwrite(out.data(), 1, out.size(), stderr);
 }
+
+#else
+
+// Only a thread's placeholder recorder reaches this, and with the obs
+// plane compiled out no thread has one.
+void detail::install_thread_flight(std::uint64_t, std::string_view,
+                                   std::string_view, EventId,
+                                   EventId) noexcept {}
 
 #endif  // AFT_OBS_DISABLED
 

@@ -10,7 +10,12 @@
 // Records are cheap on purpose: a timestamp, two string_views (component /
 // event — instrumentation sites pass string literals or static names, so
 // storing the view is safe), and the span/cause ids active at record time.
-// No formatting happens until a dump is triggered.
+// No formatting happens until a dump is triggered.  Cost of an untraced
+// AFT_TRACE site: one TLS load of the thread's recorder pointer and a
+// branch, then the ring store, all inline — no out-of-line call.  The
+// pointer is null under AFT_FLIGHT=0 and while a dump replays, so a
+// disabled recorder costs the load and the branch alone.  Records are
+// stamped with the obs clock (obs/clock.hpp).
 //
 // Determinism: the recorder is thread-local like the rest of the obs state,
 // and the campaign runner installs a fresh recorder per job (ScopedFlight),
@@ -27,9 +32,21 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/clock.hpp"
 #include "obs/trace.hpp"
 
 namespace aft::obs {
+
+class FlightRecorder;
+
+namespace detail {
+/// Installs the calling thread's default recorder (nullptr under
+/// AFT_FLIGHT=0) as its current one, and records the note that found none
+/// installed yet into it.
+void install_thread_flight(std::uint64_t t, std::string_view component,
+                           std::string_view event, EventId span,
+                           EventId cause) noexcept;
+}  // namespace detail
 
 /// One black-box record: what happened, when, inside which span, caused by
 /// which event.  component/event must point at static-storage strings
@@ -46,14 +63,20 @@ class FlightRecorder {
  public:
   explicit FlightRecorder(std::size_t capacity = default_capacity());
 
-  /// Logical clock for records taken while no TraceSink is installed
-  /// (AFT_OBS_SET_TIME and the sim kernel keep it in step with the sink's).
-  void set_time(std::uint64_t t) noexcept { time_ = t; }
-  [[nodiscard]] std::uint64_t time() const noexcept { return time_; }
-
   /// Stores one record, evicting the oldest when the ring is full.
   void record(std::uint64_t t, std::string_view component,
-              std::string_view event, EventId span, EventId cause) noexcept;
+              std::string_view event, EventId span, EventId cause) noexcept {
+    // Only the placeholder has no ring; a constructed recorder holds at
+    // least one slot.
+    if (ring_.empty()) [[unlikely]] {
+      detail::install_thread_flight(t, component, event, span, cause);
+      return;
+    }
+    ring_[head_] = FlightRecord{t, component, event, span, cause};
+    if (++head_ == ring_.size()) head_ = 0;
+    if (size_ < ring_.size()) ++size_;
+    ++recorded_;
+  }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }
@@ -81,13 +104,22 @@ class FlightRecorder {
   /// False when AFT_FLIGHT=0 turned the recorder off process-wide.
   [[nodiscard]] static bool enabled();
 
+  /// What every thread's recorder pointer holds until the thread takes its
+  /// first record: a shared, ringless recorder whose record() installs the
+  /// thread's own recorder in its place.  Never written.
+  static FlightRecorder placeholder;
+
  private:
+  struct Placeholder {};
+  constexpr explicit FlightRecorder(Placeholder) noexcept {}
+
   std::vector<FlightRecord> ring_;
   std::size_t head_ = 0;  ///< next slot to write
   std::size_t size_ = 0;
-  std::uint64_t time_ = 0;
   std::uint64_t recorded_ = 0;
 };
+
+inline constinit FlightRecorder FlightRecorder::placeholder{Placeholder{}};
 
 #if defined(AFT_OBS_DISABLED)
 
@@ -98,17 +130,33 @@ inline void flight_dump(std::string_view) noexcept {}
 
 #else
 
-/// The calling thread's recorder: the installed override (campaign jobs),
-/// else a lazily-created thread-local default; nullptr when AFT_FLIGHT=0.
-[[nodiscard]] FlightRecorder* flight() noexcept;
+namespace detail {
+/// The calling thread's recorder; constant-initialised, so a read is one
+/// TLS load with no init guard.
+inline constinit thread_local FlightRecorder* t_flight =
+    &FlightRecorder::placeholder;
+}  // namespace detail
 
-/// Installs `recorder` as the thread's override (nullptr restores the
-/// thread-local default).  Prefer ScopedFlight.
+/// The calling thread's recorder: the installed override (campaign jobs),
+/// else the thread's default; nullptr when AFT_FLIGHT=0 and while a dump
+/// replays.  Before the thread's first record it is an empty placeholder.
+[[nodiscard]] inline FlightRecorder* flight() noexcept {
+  return detail::t_flight;
+}
+
+/// Installs `recorder` as the thread's recorder (nullptr restores the
+/// thread's default; under AFT_FLIGHT=0 nothing records either way).
+/// Prefer ScopedFlight.
 void set_flight(FlightRecorder* recorder) noexcept;
 
 /// Records an instrumentation event into the flight recorder only — the
 /// AFT_TRACE macro's path when no TraceSink is installed.
-void flight_note(std::string_view component, std::string_view event) noexcept;
+inline void flight_note(std::string_view component,
+                        std::string_view event) noexcept {
+  if (FlightRecorder* const recorder = flight(); recorder != nullptr) {
+    recorder->record(obs_time(), component, event, kNoEvent, kNoEvent);
+  }
+}
 
 /// Dumps and drains the thread's recorder, black-box style.  With a
 /// TraceSink installed the dump lands in the trace (a "flight"/"dump"
@@ -129,13 +177,13 @@ class ScopedFlight {
     (void)recorder;
   }
 #else
-      : prev_(flight()) {
+      : prev_(detail::t_flight) {
     set_flight(recorder);
   }
 #endif
   ~ScopedFlight() {
 #if !defined(AFT_OBS_DISABLED)
-    set_flight(prev_);
+    detail::t_flight = prev_;
 #endif
   }
   ScopedFlight(const ScopedFlight&) = delete;

@@ -26,7 +26,7 @@ void MetricsRegistry::add(std::string_view name, std::uint64_t delta) {
                    : counters_.emplace(std::string(name), Counter{})
                          .first->second;
   c.value += delta;
-  if (c.timeline != nullptr) c.timeline->observe(time_, delta);
+  if (c.timeline != nullptr) c.timeline->observe(obs_time(), delta);
 }
 
 void MetricsRegistry::set_gauge(std::string_view name, double value) {
@@ -36,7 +36,7 @@ void MetricsRegistry::set_gauge(std::string_view name, double value) {
                  : gauges_.emplace(std::string(name), Gauge{}).first->second;
   g.value = value;
   if (g.timeline != nullptr) {
-    g.timeline->observe(time_, util::LogHistogram::clamp(value));
+    g.timeline->observe(obs_time(), util::LogHistogram::clamp(value));
   }
 }
 
@@ -47,9 +47,7 @@ void MetricsRegistry::observe(std::string_view name, double value) {
 Stat& MetricsRegistry::stat(std::string_view name) {
   const auto it = stats_.find(name);
   if (it != stats_.end()) return it->second;
-  Stat& s = stats_.emplace(std::string(name), Stat{}).first->second;
-  s.now_ = &time_;
-  return s;
+  return stats_.emplace(std::string(name), Stat{}).first->second;
 }
 
 Timeline& MetricsRegistry::timeline(std::string_view name,
@@ -173,7 +171,6 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
   // never: we build fresh Timelines and merge, links were never copied).
   // Re-point every link at our own timelines_ entries.
   relink_timelines();
-  if (other.time_ > time_) time_ = other.time_;
 }
 
 void MetricsRegistry::write_json(std::ostream& out) const {

@@ -20,6 +20,7 @@
 #include <string>
 #include <string_view>
 
+#include "obs/clock.hpp"
 #include "obs/timeline.hpp"
 #include "util/log_histogram.hpp"
 #include "util/stats.hpp"
@@ -36,7 +37,7 @@ class Stat {
     welford_.add(v);
     const std::uint64_t ticks = util::LogHistogram::clamp(v);
     hist_.add(ticks);
-    if (timeline_ != nullptr) timeline_->observe(*now_, ticks);
+    if (timeline_ != nullptr) timeline_->observe(obs_time(), ticks);
   }
 
   [[nodiscard]] std::uint64_t count() const noexcept { return welford_.count(); }
@@ -57,7 +58,6 @@ class Stat {
   util::RunningStats welford_;
   util::LogHistogram hist_;
   Timeline* timeline_ = nullptr;
-  const std::uint64_t* now_ = nullptr;  ///< the owning registry's clock
 };
 
 class MetricsRegistry {
@@ -75,12 +75,6 @@ class MetricsRegistry {
 
   /// Stable handle to a stat, for hoisting the name lookup out of hot loops.
   [[nodiscard]] Stat& stat(std::string_view name);
-
-  /// Logical clock used to place samples into timeline windows.  The sim
-  /// kernel stamps it on every dispatch (and obs::set_obs_time forwards to
-  /// it), so instrumentation sites never pass time explicitly.
-  void set_time(std::uint64_t t) noexcept { time_ = t; }
-  [[nodiscard]] std::uint64_t time() const noexcept { return time_; }
 
   /// Process-unique id, so callers caching a Stat* handle can tell a fresh
   /// registry constructed at a recycled address from the one they hoisted
@@ -134,7 +128,6 @@ class MetricsRegistry {
   std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, Stat, std::less<>> stats_;
   std::map<std::string, Timeline, std::less<>> timelines_;
-  std::uint64_t time_ = 0;
   std::uint64_t uid_;
 };
 

@@ -4,9 +4,11 @@
 // AFT_METRIC_ADD / AFT_SPAN macros the subsystems call.
 //
 // Cost when no sink is installed: one thread-local load and a predictable
-// branch per site, plus a ~40-byte ring store into the always-on flight
-// recorder (flight.hpp).  Cost when compiled out (-DAFT_OBS=OFF, which
-// defines AFT_OBS_DISABLED): zero — the macros expand to (void)0 and the
+// branch per site, plus, for AFT_TRACE, a second TLS load and branch and a
+// ~40-byte ring store into the always-on flight recorder (flight.hpp), all
+// inline.  Every record is stamped with the one obs clock (clock.hpp),
+// which the sim kernel stores once per dispatched event.  Cost when
+// compiled out (-DAFT_OBS=OFF, which defines AFT_OBS_DISABLED): zero — the macros expand to (void)0 and the
 // accessors collapse to an inline nullptr, so every instrumentation site
 // folds away.
 //
@@ -32,7 +34,6 @@ inline TraceSink* trace() noexcept { return nullptr; }
 inline MetricsRegistry* metrics() noexcept { return nullptr; }
 inline void set_trace(TraceSink*) noexcept {}
 inline void set_metrics(MetricsRegistry*) noexcept {}
-inline void set_obs_time(std::uint64_t) noexcept {}
 constexpr EventId current_cause() noexcept { return kNoEvent; }
 
 #else
@@ -55,11 +56,6 @@ inline void set_metrics(MetricsRegistry* registry) noexcept {
   detail::t_metrics = registry;
 }
 
-/// Advances the logical clock of both the installed TraceSink (if any) and
-/// the flight recorder, so black-box records stay timestamped even when
-/// tracing is off.
-void set_obs_time(std::uint64_t t) noexcept;
-
 /// The sink's current cause, kNoEvent when no sink is installed: the
 /// snapshot queued work carries so it can reinstate its scheduler's
 /// provenance later (the sim kernel per entry, the cluster queue per
@@ -71,18 +67,23 @@ void set_obs_time(std::uint64_t t) noexcept;
 
 #endif  // AFT_OBS_DISABLED
 
-/// RAII installer: swaps in a sink/registry pair for the current thread and
-/// restores the previous pair on destruction (nestable).
+/// RAII installer: swaps in a sink/registry pair for the current thread,
+/// starts the obs clock at 0 for the scope (records taken before the
+/// scope's first dispatch are stamped t=0, whatever an earlier scope left
+/// on the clock), and restores the previous pair and clock on destruction
+/// (nestable).
 class ScopedObs {
  public:
   ScopedObs(TraceSink* sink, MetricsRegistry* registry) noexcept
-      : prev_trace_(trace()), prev_metrics_(metrics()) {
+      : prev_trace_(trace()), prev_metrics_(metrics()), prev_time_(obs_time()) {
     set_trace(sink);
     set_metrics(registry);
+    set_obs_time(0);
   }
   ~ScopedObs() {
     set_trace(prev_trace_);
     set_metrics(prev_metrics_);
+    set_obs_time(prev_time_);
   }
   ScopedObs(const ScopedObs&) = delete;
   ScopedObs& operator=(const ScopedObs&) = delete;
@@ -90,6 +91,7 @@ class ScopedObs {
  private:
   TraceSink* prev_trace_;
   MetricsRegistry* prev_metrics_;
+  std::uint64_t prev_time_;
 };
 
 /// RAII span: emits a "span-begin" record naming the span, makes its id the

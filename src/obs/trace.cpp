@@ -120,11 +120,12 @@ EventId TraceSink::emit(std::string_view component, std::string_view event,
     return kNoEvent;
   }
   const EventId id = count_;
+  const std::uint64_t t = obs_time();
   if (FlightRecorder* recorder = flight(); recorder != nullptr) {
-    recorder->record(time_, component, event, span_, cause_);
+    recorder->record(t, component, event, span_, cause_);
   }
   std::uint8_t* const hole = reserve(max_record_bytes(fields.size()));
-  std::uint8_t* w = put_time(hole + 1, time_);
+  std::uint8_t* w = put_time(hole + 1, t);
   const bool has_span = span_ != kNoEvent;
   const bool has_cause = cause_ != kNoEvent;
   *w++ = static_cast<std::uint8_t>((has_span ? aftb::kHasSpan : 0) |

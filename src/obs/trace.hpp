@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "obs/aftb.hpp"
+#include "obs/clock.hpp"
 #include "util/interner.hpp"
 
 namespace aft::obs {
@@ -132,12 +133,6 @@ class TraceSink {
   /// dropped() and a final "trace"/"truncated" record is written instead.
   explicit TraceSink(std::size_t max_events = kDefaultMaxEvents);
 
-  /// Stamps subsequent events with logical time `t` (the simulation kernel
-  /// calls this on every dispatch; benches without a kernel set it from
-  /// their step counter).
-  void set_time(std::uint64_t t) noexcept { time_ = t; }
-  [[nodiscard]] std::uint64_t time() const noexcept { return time_; }
-
   /// Current causal source: the id every subsequent emit() records in its
   /// `cause` field.  Chain origins (fault injections, clashes) install the
   /// id emit() returned; chain links install theirs for one scope through
@@ -156,8 +151,8 @@ class TraceSink {
   void set_detail(bool on) noexcept { detail_ = on; }
   [[nodiscard]] bool detail() const noexcept { return detail_; }
 
-  /// Records one event at the current logical time, stamped with the
-  /// current span and cause.  Returns the event's id — its final `seq` in
+  /// Records one event at the obs clock's time (obs/clock.hpp), stamped
+  /// with the current span and cause.  Returns the event's id — its final `seq` in
   /// the written file — or kNoEvent when the cap dropped it.
   EventId emit(std::string_view component, std::string_view event,
                std::initializer_list<Field> fields = {});
@@ -220,7 +215,6 @@ class TraceSink {
   util::StringInterner strings_;
   std::size_t count_ = 0;
   std::size_t max_events_;
-  std::uint64_t time_ = 0;
   std::uint64_t last_t_ = 0;  ///< t of the last kept record (0 before any)
   EventId cause_ = kNoEvent;
   EventId span_ = kNoEvent;

@@ -7,9 +7,11 @@
 
 namespace aft::sim {
 
-void Simulator::schedule_at(SimTime when, Action action) {
-  if (when < now_) throw std::invalid_argument("Simulator: event in the past");
-  const obs::EventId cause = obs::current_cause();
+void Simulator::throw_past() {
+  throw std::invalid_argument("Simulator: event in the past");
+}
+
+Simulator::Handle Simulator::enqueue(Slot slot, SimTime when) {
   // Dispatch lag: entries fire exactly at `when`, so the schedule-to-
   // dispatch latency is known here.  Recorded through a cached Stat handle
   // so the steady-state cost is one add, not a map lookup.
@@ -21,21 +23,17 @@ void Simulator::schedule_at(SimTime when, Action action) {
     }
     lag_stat_->add(static_cast<double>(when - now_));
   }
-  const Slot slot = acquire();
   Entry& entry = at(slot);
   entry.when = when;
   entry.seq = next_seq_++;
-  entry.cause = cause;
-  entry.action = std::move(action);
+  entry.cause = obs::current_cause();
   if (when - now_ < kWindow) {
     push_near(slot, when);
   } else {
+    entry.prev = kFar;
     push_far(slot, when);
   }
-}
-
-void Simulator::schedule_in(SimTime delay, Action action) {
-  schedule_at(now_ + delay, std::move(action));
+  return Handle{slot, entry.seq};
 }
 
 Simulator::Slot Simulator::acquire() {
@@ -53,8 +51,43 @@ Simulator::Slot Simulator::acquire() {
 void Simulator::release(Slot slot) noexcept {
   Entry& entry = at(slot);
   entry.action.reset();
+  entry.prev = kDead;
   entry.next = free_;
   free_ = slot;
+}
+
+void Simulator::cancel(Handle handle) noexcept {
+  if (handle.slot >= grown_) return;
+  Entry& entry = at(handle.slot);
+  if (entry.seq != handle.seq || entry.prev == kDead) return;
+  if (entry.prev == kFar) {
+    // Lazy deletion: the node stays in the heap, so no survivor moves.
+    entry.action.reset();
+    entry.prev = kDead;
+    ++far_dead_;
+    purge_far();
+    return;
+  }
+  const std::size_t i = entry.when & kMask;
+  Bucket& bucket = buckets_[i];
+  if (bucket.head == handle.slot) {
+    bucket.head = entry.next;
+  } else {
+    at(entry.prev).next = entry.next;
+  }
+  if (entry.next == kNil) {
+    bucket.tail = bucket.head == kNil ? kNil : entry.prev;
+  } else {
+    at(entry.next).prev = entry.prev;
+  }
+  --near_size_;
+  if (bucket.head == kNil) {
+    occupied_[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+    if (entry.when == near_min_) {
+      near_min_ = near_size_ == 0 ? kNever : near_after(near_min_);
+    }
+  }
+  release(handle.slot);
 }
 
 void Simulator::reserve(std::size_t n) {
@@ -66,14 +99,17 @@ void Simulator::reserve(std::size_t n) {
 }
 
 void Simulator::push_near(Slot slot, SimTime when) {
-  at(slot).next = kNil;
+  Entry& entry = at(slot);
+  entry.next = kNil;
   const std::size_t i = when & kMask;
   Bucket& bucket = buckets_[i];
   if (bucket.head == kNil) {
+    entry.prev = kNil;
     bucket.head = slot;
     occupied_[i / 64] |= std::uint64_t{1} << (i % 64);
     if (when < near_min_) near_min_ = when;
   } else {
+    entry.prev = bucket.tail;
     at(bucket.tail).next = slot;
   }
   bucket.tail = slot;
@@ -142,10 +178,25 @@ SimTime Simulator::near_after(SimTime t) const noexcept {
 
 Simulator::Slot Simulator::pop_far() noexcept {
   const Slot slot = far_.front().slot;
+  drop_far_top();
+  purge_far();
+  return slot;
+}
+
+void Simulator::purge_far() noexcept {
+  while (!far_.empty() && at(far_.front().slot).prev == kDead) {
+    const Slot dead = far_.front().slot;
+    drop_far_top();
+    --far_dead_;
+    release(dead);
+  }
+}
+
+void Simulator::drop_far_top() noexcept {
   const FarNode displaced = far_.back();
   far_.pop_back();
   const std::size_t n = far_.size();
-  if (n == 0) return slot;
+  if (n == 0) return;
   // Hole-based sift-down of the displaced tail node.
   std::size_t hole = 0;
   for (;;) {
@@ -161,31 +212,26 @@ Simulator::Slot Simulator::pop_far() noexcept {
     hole = best;
   }
   far_[hole] = displaced;
-  return slot;
 }
 
-bool Simulator::step_with(obs::TraceSink* sink, obs::FlightRecorder* recorder,
-                          obs::MetricsRegistry* registry) {
+bool Simulator::step_with(obs::TraceSink* sink) {
   if (idle()) return false;
   const Slot slot = pop_next();
   Entry& entry = at(slot);  // chunks never move: stays valid while it runs
+  entry.prev = kDead;       // running: cancel() of its handle is a no-op
   now_ = entry.when;
   ++executed_;
-  // Dispatch hook: stamp the trace clock so every event emitted by the
-  // action carries the right simulated time, and reinstate the cause id
-  // that was current when this entry was scheduled — the dispatched
-  // continuation inherits the provenance of its scheduler.  Per-dispatch
-  // records are detail-level (they dominate trace volume on long runs).
+  // Dispatch hook: stamp the obs clock so every record the action takes
+  // (trace, metrics timeline, flight recorder) carries the right simulated
+  // time, and reinstate the cause id that was current when this entry was
+  // scheduled — the dispatched continuation inherits the provenance of its
+  // scheduler.  Per-dispatch records are detail-level (they dominate trace
+  // volume on long runs).
+  AFT_OBS_SET_TIME(now_);
   if (sink != nullptr) {
-    sink->set_time(now_);
     sink->set_cause(entry.cause);
     if (sink->detail()) sink->emit("sim", "dispatch", {{"eseq", entry.seq}});
-  } else if (recorder != nullptr) {
-    recorder->set_time(now_);
   }
-  // The metrics clock drives timeline windowing (obs/timeline.hpp), so it
-  // advances on every dispatch even when tracing is off.
-  if (registry != nullptr) registry->set_time(now_);
   // The action runs in its slot; the slot is freed afterwards, on unwind
   // too, so a throwing action is consumed like any other.
   struct Release {
@@ -197,31 +243,16 @@ bool Simulator::step_with(obs::TraceSink* sink, obs::FlightRecorder* recorder,
   return true;
 }
 
-namespace {
-
-// The flight recorder only matters when no trace sink shadows it (mirrors
-// the old per-event lookup order: trace first, flight only on the miss).
-obs::FlightRecorder* flight_unless_traced(obs::TraceSink* sink) {
-  return sink == nullptr ? obs::flight() : nullptr;
-}
-
-}  // namespace
-
-bool Simulator::step() {
-  obs::TraceSink* const sink = obs::trace();
-  return step_with(sink, flight_unless_traced(sink), obs::metrics());
-}
+bool Simulator::step() { return step_with(obs::trace()); }
 
 std::uint64_t Simulator::run_until(SimTime until) {
   std::uint64_t ran = 0;
   // Callers that tick an external loop ask once per tick with nothing due:
-  // that answer costs two compares, not the sink lookups.
+  // that answer costs two compares, not the sink lookup.
   if (!idle() && next_due() <= until) {
     obs::TraceSink* const sink = obs::trace();
-    obs::FlightRecorder* const recorder = flight_unless_traced(sink);
-    obs::MetricsRegistry* const registry = obs::metrics();
     do {
-      step_with(sink, recorder, registry);
+      step_with(sink);
       ++ran;
     } while (!idle() && next_due() <= until);
   }
@@ -231,10 +262,8 @@ std::uint64_t Simulator::run_until(SimTime until) {
 
 std::uint64_t Simulator::run_all() {
   obs::TraceSink* const sink = obs::trace();
-  obs::FlightRecorder* const recorder = flight_unless_traced(sink);
-  obs::MetricsRegistry* const registry = obs::metrics();
   std::uint64_t ran = 0;
-  while (step_with(sink, recorder, registry)) ++ran;
+  while (step_with(sink)) ++ran;
   return ran;
 }
 

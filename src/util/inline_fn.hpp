@@ -47,13 +47,17 @@ class InlineFn<R(Args...), Capacity> {
             typename = std::enable_if_t<!std::is_same_v<D, InlineFn> &&
                                         std::is_invocable_r_v<R, D&, Args...>>>
   InlineFn(F&& fn) {  // NOLINT(google-explicit-constructor)
-    if constexpr (stores_inline<F>) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
-      ops_ = &kInlineOps<D>;
-    } else {
-      ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(fn)));
-      ops_ = &kHeapOps<D>;
-    }
+    construct<D>(std::forward<F>(fn));
+  }
+
+  /// Destroys any stored callable and builds `fn` in this object's storage:
+  /// one construction, where `*this = InlineFn(fn)` would add a relocation.
+  template <typename F, typename D = Decayed<F>,
+            typename = std::enable_if_t<!std::is_same_v<D, InlineFn> &&
+                                        std::is_invocable_r_v<R, D&, Args...>>>
+  void emplace(F&& fn) {
+    reset();
+    construct<D>(std::forward<F>(fn));
   }
 
   InlineFn(InlineFn&& other) noexcept : ops_(other.ops_) {
@@ -99,6 +103,18 @@ class InlineFn<R(Args...), Capacity> {
   }
 
  private:
+  /// Precondition: empty.
+  template <typename D, typename F>
+  void construct(F&& fn) {
+    if constexpr (stores_inline<D>) {
+      ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
+      ops_ = &kInlineOps<D>;
+    } else {
+      ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(fn)));
+      ops_ = &kHeapOps<D>;
+    }
+  }
+
   // Manual dispatch table: one static instance per stored type, so an
   // InlineFn is just {buffer, ops pointer} and every operation is one
   // indirect call — no RTTI, no virtual bases.

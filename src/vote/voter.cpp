@@ -1,17 +1,24 @@
 #include "vote/voter.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
+#include <charconv>
+#include <string>
 
 namespace aft::vote {
 
 std::optional<Ballot> parse_ballot(const std::string& text) {
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno != 0) return std::nullopt;
-  return static_cast<Ballot>(value);
+  // strtoll's accept set, without its locale and errno traffic: the text
+  // ends at its first NUL, C-locale white space may lead, then an optional
+  // sign and base-10 digits up to the end.
+  const char* p = text.c_str();
+  const char* const end = p + std::char_traits<char>::length(p);
+  while (p != end && (*p == ' ' || (*p >= '\t' && *p <= '\r'))) ++p;
+  // from_chars takes '-' but not '+', and must not see a sign after '+'.
+  if (p != end && *p == '+' && ++p != end && *p == '-') return std::nullopt;
+  Ballot value = 0;
+  const auto [last, ec] = std::from_chars(p, end, value);
+  if (ec != std::errc{} || last != end) return std::nullopt;
+  return value;
 }
 namespace {
 
@@ -101,12 +108,6 @@ VoteOutcome sorted_vote(std::vector<Ballot>& ballots) {
 }
 
 }  // namespace
-
-VoteOutcome majority_vote_inplace(std::vector<Ballot>& ballots) {
-  VoteOutcome out;
-  if (!decide_by_agreement(ballots, out)) out = sorted_vote(ballots);
-  return out;
-}
 
 VoteOutcome majority_vote(std::span<const Ballot> ballots,
                           std::vector<Ballot>& scratch) {

@@ -30,18 +30,14 @@ struct VoteOutcome {
 /// A round is decided by counting agreement (unanimity, then a Boyer-Moore
 /// candidate); only a split round, where no value holds a strict majority,
 /// is sorted, and its outcome reports the longest run (the smallest value
-/// among equally long ones) as winner and agreeing.  Every variant below
-/// returns the same outcome for the same ballots.
+/// among equally long ones) as winner and agreeing.  Both overloads return
+/// the same outcome for the same ballots.
 [[nodiscard]] VoteOutcome majority_vote(std::span<const Ballot> ballots);
 
 /// As above, but a split round copies `ballots` into `scratch` and sorts
 /// there, reusing its capacity; allocation-free once that covers the round.
 [[nodiscard]] VoteOutcome majority_vote(std::span<const Ballot> ballots,
                                         std::vector<Ballot>& scratch);
-
-/// Allocation-free variant: a split round is sorted in place instead of
-/// copied, so the order of `ballots` afterwards is unspecified.
-[[nodiscard]] VoteOutcome majority_vote_inplace(std::vector<Ballot>& ballots);
 
 /// Plurality voter: the most frequent value wins even without a strict
 /// majority (ties broken toward the smallest value, deterministically).

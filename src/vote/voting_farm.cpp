@@ -23,7 +23,7 @@ VotingFarm::VotingFarm(std::size_t replicas, Task task)
 inline RoundReport VotingFarm::close_round() {
   ++rounds_;
   if (obs::MetricsRegistry* reg = obs::metrics(); reg != nullptr) {
-    const std::uint64_t t = reg->time();
+    const std::uint64_t t = obs::obs_time();
     if (round_t_valid_ && t >= last_round_t_) {
       reg->observe("vote.farm.round_gap",
                    static_cast<double>(t - last_round_t_));

@@ -19,6 +19,7 @@
 #include "net/link.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
+#include "obs_clock_reset.hpp"
 #include "sim/simulator.hpp"
 #include "trace_analysis.hpp"
 #include "trace_reader.hpp"
@@ -40,10 +41,10 @@ Trace parse(const std::string& jsonl) {
 
 TEST(TraceReaderTest, RoundTripsSinkOutput) {
   TraceSink sink;
-  sink.set_time(3);
+  aft::obs::set_obs_time(3);
   sink.emit("mem.ecc", "corrected", {{"addr", 42u}, {"origin", "read"}});
   sink.set_cause(0);
-  sink.set_time(5);
+  aft::obs::set_obs_time(5);
   sink.emit("detect", "latch", {{"score", 2.5}, {"s", "a\"b\\c\n\x01"}});
 
   const Trace trace = parse(sink.jsonl());
@@ -87,13 +88,13 @@ TEST(TraceReaderTest, BinaryDecodesIdenticallyToJsonl) {
   // JSONL reader does, so every analysis (and `aft_trace diff`) is
   // format-blind.
   TraceSink sink;
-  sink.set_time(3);
+  aft::obs::set_obs_time(3);
   const auto origin = sink.emit(
       "hw.inject", "seu",
       {{"addr", 42u}, {"delta", std::int64_t{-17}}, {"rate", 0.125}});
   sink.set_cause(origin);
   sink.set_span(origin);
-  sink.set_time(1000000);
+  aft::obs::set_obs_time(1000000);
   sink.emit("detect", "latch",
             {{"latched", true},
              {"s", "a\"b\\c\n\x01"},
@@ -101,7 +102,7 @@ TEST(TraceReaderTest, BinaryDecodesIdenticallyToJsonl) {
              {"inf", -1.0 / 0.0}});
   sink.set_cause(aft::obs::kNoEvent);
   sink.set_span(aft::obs::kNoEvent);
-  sink.set_time(1000001);
+  aft::obs::set_obs_time(1000001);
   sink.emit("detect", "clear");
 
   const Trace from_jsonl = parse(sink.jsonl());
@@ -129,7 +130,7 @@ TEST(TraceReaderTest, BinaryDecodesIdenticallyToJsonl) {
 
 TEST(TraceReaderTest, BinaryTruncationFooterIsSynthesized) {
   TraceSink sink(/*max_events=*/1);
-  sink.set_time(7);
+  aft::obs::set_obs_time(7);
   sink.emit("c", "kept");
   sink.emit("c", "dropped");
   sink.emit("c", "dropped");
@@ -210,11 +211,11 @@ TEST(TraceReaderTest, EveryPrefixAndByteFlipOfABinaryTraceDecodesOrIsRejected) {
   // bytes (a two-byte length prefix), span and cause refs, a backward time
   // step and records dropped at the cap.
   TraceSink sink(3);
-  sink.set_time(7);
+  aft::obs::set_obs_time(7);
   const auto origin = sink.emit("hw.inject", "seu", {{"addr", 42u}});
   sink.set_cause(origin);
   sink.set_span(origin);
-  sink.set_time(9);
+  aft::obs::set_obs_time(9);
   constexpr std::uint64_t kBig = ~std::uint64_t{0};
   sink.emit("detect", "latch",
             {{"u", kBig},
@@ -230,7 +231,7 @@ TEST(TraceReaderTest, EveryPrefixAndByteFlipOfABinaryTraceDecodesOrIsRejected) {
              {"c", kBig},
              {"d", kBig},
              {"e", kBig}});
-  sink.set_time(8);
+  aft::obs::set_obs_time(8);
   sink.emit("detect", "clear", {{"no", false}});
   sink.emit("detect", "dropped", {{"unseen", "string"}});
   sink.emit("detect", "dropped");
@@ -285,7 +286,7 @@ TEST(TraceReaderTest, EveryPrefixAndByteFlipOfABinaryTraceDecodesOrIsRejected) {
 
 TEST(TraceReaderTest, LoadTraceSniffsBinaryFilesByMagic) {
   TraceSink sink;
-  sink.set_time(4);
+  aft::obs::set_obs_time(4);
   sink.emit("c", "e", {{"k", "v"}});
   const std::string path = "/tmp/aft_trace_test_sniff.bin";
   {
@@ -302,12 +303,12 @@ TEST(TraceReaderTest, LoadTraceSniffsBinaryFilesByMagic) {
 
 TEST(TraceAnalysisTest, CausalChainWalksToRootAndWhyRendersIt) {
   TraceSink sink;
-  sink.set_time(10);
+  aft::obs::set_obs_time(10);
   const auto origin = sink.emit("hw.inject", "seu", {{"addr", 7u}});
   sink.set_cause(origin);
-  sink.set_time(12);
+  aft::obs::set_obs_time(12);
   sink.set_cause(sink.emit("detect.dual", "suspend"));
-  sink.set_time(15);
+  aft::obs::set_obs_time(15);
   sink.emit("autonomic.switchboard", "raise", {{"replicas", 5u}});
 
   const Trace trace = parse(sink.jsonl());
@@ -325,21 +326,21 @@ TEST(TraceAnalysisTest, CausalChainWalksToRootAndWhyRendersIt) {
 TEST(TraceAnalysisTest, LatencyPairsStagesPerChainWithAddrFallback) {
   TraceSink sink;
   // Chain A: cause-linked inject -> detect (2 ticks) -> repair (5 ticks).
-  sink.set_time(10);
+  aft::obs::set_obs_time(10);
   sink.set_cause(sink.emit("hw.inject", "seu", {{"addr", 1u}}));
-  sink.set_time(12);
+  aft::obs::set_obs_time(12);
   sink.emit("detect.dual", "suspend");
-  sink.set_time(15);
+  aft::obs::set_obs_time(15);
   sink.emit("mem.remap", "remap", {{"addr", 1u}});
   sink.set_cause(aft::obs::kNoEvent);
   // Chain B: no cause link, but the detection names the injected address —
   // the addr fallback must attribute it (4 ticks).
-  sink.set_time(20);
+  aft::obs::set_obs_time(20);
   sink.emit("hw.inject", "stuck", {{"addr", 9u}});
-  sink.set_time(24);
+  aft::obs::set_obs_time(24);
   sink.emit("mem.ecc", "corrected", {{"addr", 9u}});
   // Orphan: a detection with no ancestor and no matching address.
-  sink.set_time(30);
+  aft::obs::set_obs_time(30);
   sink.emit("detect.watchdog", "miss", {{"channel", 3u}});
 
   const auto report = aft::tools::compute_latency(parse(sink.jsonl()));
@@ -357,7 +358,7 @@ TEST(TraceAnalysisTest, DiffDetectsCensusAndOrderDivergence) {
   a.emit("c", "y");
   TraceSink b;
   b.emit("c", "x");
-  b.set_time(1);
+  aft::obs::set_obs_time(1);
   b.emit("c", "z");
 
   const Trace ta = parse(a.jsonl());
@@ -373,9 +374,9 @@ TEST(TraceAnalysisTest, ChromeExportPairsSpansIntoSlices) {
   TraceSink sink;
   sink.emit("bench", "span-begin", {{"name", "run"}});
   sink.set_span(0);
-  sink.set_time(2);
+  aft::obs::set_obs_time(2);
   sink.emit("mem.ecc", "corrected", {{"addr", 3u}});
-  sink.set_time(9);
+  aft::obs::set_obs_time(9);
   sink.emit("bench", "span-end");
   const std::string json = aft::tools::to_chrome_trace(parse(sink.jsonl()));
   EXPECT_NE(json.find(R"("name":"run","ph":"X","dur":9)"), std::string::npos);
@@ -535,21 +536,21 @@ TEST(TraceAnalysisTest, Fig6RaiseChainsBackToInjectedFault) {
 TEST(TraceAnalysisTest, SloPairsDoneWithCallViaChainAndFallback) {
   TraceSink sink;
   // Chain A: cause-linked call -> done, ok in 8 ticks after 1 attempt.
-  sink.set_time(10);
+  aft::obs::set_obs_time(10);
   sink.set_cause(sink.emit(
       "net.rpc", "call",
       {{"endpoint", "client"}, {"id", 1u}, {"method", "echo"}}));
-  sink.set_time(18);
+  aft::obs::set_obs_time(18);
   sink.emit("net.rpc", "done",
             {{"endpoint", "client"}, {"id", 1u}, {"status", "ok"},
              {"attempts", 1u}});
   sink.set_cause(aft::obs::kNoEvent);
   // Chain B: the cause link is cut (trace cap shape) — the endpoint+id
   // fallback must still pair it.  Fails after 3 attempts, 30 ticks.
-  sink.set_time(20);
+  aft::obs::set_obs_time(20);
   sink.emit("net.rpc", "call",
             {{"endpoint", "client"}, {"id", 2u}, {"method", "echo"}});
-  sink.set_time(50);
+  aft::obs::set_obs_time(50);
   sink.emit("net.rpc", "done",
             {{"endpoint", "client"}, {"id", 2u}, {"status", "deadline"},
              {"attempts", 3u}});
@@ -577,9 +578,9 @@ TEST(TraceAnalysisTest, SloPairsDoneWithCallViaChainAndFallback) {
 TEST(TraceAnalysisTest, LatencyQuantilesExposedPerStage) {
   TraceSink sink;
   for (std::uint64_t i = 0; i < 100; ++i) {
-    sink.set_time(i * 100);
+    aft::obs::set_obs_time(i * 100);
     sink.set_cause(sink.emit("hw.inject", "seu", {{"addr", i}}));
-    sink.set_time(i * 100 + 1 + i % 10);  // detect latencies 1..10
+    aft::obs::set_obs_time(i * 100 + 1 + i % 10);  // detect latencies 1..10
     sink.emit("mem.ecc", "corrected", {{"addr", i}});
     sink.set_cause(aft::obs::kNoEvent);
   }
@@ -605,11 +606,11 @@ TEST(TraceAnalysisTest, EmptyTracesRenderHintsNotSilence) {
 
 TEST(TraceAnalysisTest, TimelineWindowsEventCensus) {
   TraceSink sink;
-  sink.set_time(0);
+  aft::obs::set_obs_time(0);
   sink.emit("hw.inject", "seu", {{"addr", 1u}});
-  sink.set_time(5);
+  aft::obs::set_obs_time(5);
   sink.emit("mem.ecc", "corrected", {{"addr", 1u}});
-  sink.set_time(25);
+  aft::obs::set_obs_time(25);
   sink.emit("c", "quiet");
 
   const std::string out =

@@ -222,6 +222,52 @@ TEST(AllocTest, OpenLoopTimerShapeIsAllocationFree) {
   EXPECT_GT(hops, 12u * expired);
 }
 
+TEST(AllocTest, ScheduleAndCancelSteadyStateIsAllocationFree) {
+  // The RPC shape with cancellable timers: every arrival arms a near
+  // attempt deadline and a far client deadline, and its reply, two ticks
+  // later, cancels both.  Near cancels free their slots at once; far ones
+  // leave tombstones that are popped, never dispatched.
+  constexpr aft::sim::SimTime kNear = 15;
+  constexpr aft::sim::SimTime kFar = 5000;
+  static_assert(kNear < aft::sim::Simulator::kWindow);
+  static_assert(kFar >= aft::sim::Simulator::kWindow);
+  aft::sim::Simulator sim;
+  std::uint64_t fired = 0;
+  std::uint64_t replies = 0;
+  struct Arrivals {
+    aft::sim::Simulator* sim;
+    std::uint64_t* fired;
+    std::uint64_t* replies;
+    void arm() {
+      auto arrive = [this] {
+        const auto near = sim->schedule_in(kNear, [f = fired] { ++*f; });
+        const auto far = sim->schedule_in(kFar, [f = fired] { ++*f; });
+        sim->schedule_in(2, [s = sim, r = replies, near, far] {
+          ++*r;
+          s->cancel(near);
+          s->cancel(far);
+        });
+        arm();
+      };
+      static_assert(aft::sim::Simulator::fits_inline<decltype(arrive)>);
+      sim->schedule_in(1, std::move(arrive));
+    }
+  };
+  Arrivals arrivals{&sim, &fired, &replies};
+  arrivals.arm();
+  sim.run_until(3 * kFar);  // warm-up: pool and far heap at their peak
+
+  const std::uint64_t executed_before = sim.executed();
+  const std::uint64_t replies_before = replies;
+  const std::uint64_t allocs =
+      allocations_during([&] { sim.run_until(6 * kFar); });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(fired, 0u);  // every deadline was cancelled
+  EXPECT_EQ(replies - replies_before, 3 * kFar);
+  // Only arrivals and replies dispatch: no deadline, live or cancelled.
+  EXPECT_EQ(sim.executed() - executed_before, 2 * 3 * kFar);
+}
+
 TEST(AllocTest, EventBusPublishSteadyStateIsAllocationFree) {
   // The interned SoA bus: once topics are interned and buckets sized, a
   // publish is an array walk — no string-keyed map lookup materializes
@@ -443,7 +489,7 @@ TEST(AllocTest, TimelineRolloverIsAllocationFree) {
 
   const std::uint64_t allocs = allocations_during([&] {
     for (std::uint64_t t = 0; t < 10'000; ++t) {
-      reg.set_time(t);
+      aft::obs::set_obs_time(t);
       lat.add(static_cast<double>(1 + (t * 7) % 63));
     }
   });
@@ -622,7 +668,7 @@ TEST(AllocTest, TraceSinkBuffersRecordsAtTheirEncodedSize) {
   constexpr std::uint64_t kRecords = 100000;
   const std::uint64_t before = g_new_bytes;
   for (std::uint64_t i = 0; i < kRecords; ++i) {
-    sink.set_time(i);
+    aft::obs::set_obs_time(i);
     sink.emit("net.link", "send",
               {{"link", kLink}, {"kind", "request"}, {"id", i}});
   }

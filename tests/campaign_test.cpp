@@ -108,9 +108,9 @@ TEST(CampaignTest, ExceptionPropagatesToCaller) {
 void obs_job(std::size_t i) {
   aft::obs::TraceSink* sink = aft::obs::trace();
   ASSERT_NE(sink, nullptr);  // capture must install a per-job sink
-  sink->set_time(i * 10);
+  aft::obs::set_obs_time(i * 10);
   sink->emit("job", "work", {{"i", i}});
-  sink->set_time(i * 10 + 5);
+  aft::obs::set_obs_time(i * 10 + 5);
   sink->emit("job", "done", {{"result", i * i}});
   aft::obs::metrics()->add("jobs.completed", 1);
   aft::obs::metrics()->observe("jobs.result", static_cast<double>(i * i));
@@ -154,7 +154,7 @@ void timeline_job(std::size_t i) {
   reg->timeline_counter("job.calls", /*window_ticks=*/50);
   reg->timeline_gauge("job.level", /*window_ticks=*/50);
   for (std::uint64_t t = 0; t < 200; t += 7) {
-    reg->set_time(t);
+    aft::obs::set_obs_time(t);
     reg->observe("job.latency", static_cast<double>(1 + (t * (i + 3)) % 400));
     reg->add("job.calls");
     reg->set_gauge("job.level", static_cast<double>((t + i) % 9));

@@ -353,19 +353,38 @@ TEST(WatchdogTest, StopDisarms) {
 }
 
 TEST(WatchdogTest, RestartRunsASingleWindowChain) {
-  // stop() disarms lazily (the pending check is left scheduled); start()
-  // before that check fired used to add a second chain, after which every
-  // silent window was counted twice.  With the epoch guard a stop/start
-  // cycle fires exactly one check per deadline.
+  // A start() after stop() used to leave the earlier check pending beside
+  // the fresh chain, after which every silent window was counted twice.
+  // stop() cancels the pending check: a stop/start cycle fires exactly one
+  // check per deadline, and the stale one never dispatches.
   Simulator sim;
   Watchdog dog(sim, 10, [](aft::sim::SimTime) {});
   dog.start();  // check pending at t=10
   sim.run_until(5);
   dog.stop();
+  EXPECT_TRUE(sim.idle());
   dog.start();  // fresh chain: checks at 15, 25, 35, ...
+  EXPECT_EQ(sim.pending(), 1u);
   sim.run_until(105);  // 10 windows, no kicks
   EXPECT_EQ(dog.windows(), 10u);
   EXPECT_EQ(dog.firings(), 10u);
+  EXPECT_EQ(sim.executed(), 10u);
+}
+
+TEST(WatchdogTest, RestartFromTheFireHandlerKeepsOneChain) {
+  Simulator sim;
+  Watchdog* self = nullptr;
+  Watchdog dog(sim, 10, [&self](aft::sim::SimTime) {
+    self->stop();
+    self->start();
+  });
+  self = &dog;
+  dog.start();
+  sim.run_until(105);  // every window fires and restarts: t=10..100
+  EXPECT_EQ(dog.windows(), 10u);
+  EXPECT_EQ(dog.firings(), 10u);
+  EXPECT_EQ(sim.executed(), 10u);
+  EXPECT_EQ(sim.pending(), 1u);
 }
 
 TEST(WatchdogTest, WatchedTaskRestartKicksOncePerPeriod) {
@@ -376,10 +395,13 @@ TEST(WatchdogTest, WatchedTaskRestartKicksOncePerPeriod) {
   task.start();  // tick pending at t=5
   sim.run_until(2);
   task.stop();
+  EXPECT_EQ(sim.pending(), 1u);  // the dog's check alone
   task.start();  // fresh chain: ticks at 7, 12, 17, ...
+  EXPECT_EQ(sim.pending(), 2u);
   sim.run_until(52);  // 10 periods
   EXPECT_EQ(task.kicks_delivered(), 10u);
   EXPECT_EQ(dog.firings(), 0u);  // healthy task: the dog stays quiet
+  EXPECT_EQ(sim.executed(), 10u + 5u);  // ticks and the dog's windows only
 }
 
 // --- The Fig. 4 scenario end-to-end --------------------------------------------------

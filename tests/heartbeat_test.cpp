@@ -112,19 +112,37 @@ TEST(HeartbeatTest, TransientGlitchStaysTransient) {
 }
 
 TEST(HeartbeatTest, RewatchRunsASingleCheckChain) {
-  // unwatch() leaves the scheduled check pending; a later watch() of the
-  // same channel used to run that stale check *and* its own fresh chain,
-  // double-counting every subsequent silent window.  The epoch guard kills
-  // the stale chain: a fully silent channel over n windows scores exactly
-  // n misses, not 2n.
+  // A watch() after unwatch() used to leave the old registration's check
+  // pending beside the fresh chain, double-counting every silent window.
+  // unwatch() cancels that check: a fully silent channel over n windows
+  // scores exactly n misses, and the stale check never even dispatches.
   Fixture f;
   const ChannelId c = f.monitor.watch("c", 10);
   f.sim.run_until(5);  // check for t=10 is pending
   f.monitor.unwatch(c);
-  f.monitor.watch(c, 10);  // re-watch before the stale check fires
+  EXPECT_TRUE(f.sim.idle());
+  f.monitor.watch(c, 10);  // re-watch before the old check would fire
+  EXPECT_EQ(f.sim.pending(), 1u);
   f.sim.run_until(105);    // 10 windows of the fresh chain (t=15..105)
   EXPECT_EQ(f.monitor.total_misses(), 10u);
   EXPECT_EQ(f.monitor.consecutive_misses(c), 10u);
+  EXPECT_EQ(f.sim.executed(), 10u);
+}
+
+TEST(HeartbeatTest, RewatchFromTheMissHandlerEndsTheRunningChain) {
+  // The restart comes from inside the check that is running: the check
+  // must not re-arm behind the fresh chain its handler started.
+  Fixture f;
+  const ChannelId c = f.monitor.watch("c", 10);
+  f.monitor.set_miss_handler([&f](ChannelId channel, std::uint64_t) {
+    f.monitor.unwatch(channel);
+    f.monitor.watch(channel, 10);
+  });
+  f.sim.run_until(105);  // silent: a miss, and a restart, at t=10..100
+  EXPECT_EQ(f.monitor.total_misses(), 10u);
+  EXPECT_EQ(f.sim.executed(), 10u);
+  EXPECT_EQ(f.sim.pending(), 1u);
+  EXPECT_TRUE(f.monitor.watching(c));
 }
 
 TEST(HeartbeatTest, IndependentDeadlinesPerChannel) {

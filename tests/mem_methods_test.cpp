@@ -699,10 +699,10 @@ TEST(EccRemapTest, ScrubSurvivesChipShrinkResize) {
 }
 
 TEST(ScrubberDaemonTest, RestartRunsASingleChain) {
-  // stop() is lazy: the next pass stays scheduled and self-cancels when it
-  // fires.  A start() before it fired used to chain a SECOND pass loop, so
-  // every stop/start cycle (e.g. an adaptation changing cadence) silently
-  // doubled the scrub bandwidth.  The epoch guard keeps it at one chain.
+  // A start() after stop() used to chain a SECOND pass loop beside the
+  // pass still pending, so every stop/start cycle (e.g. an adaptation
+  // changing cadence) silently doubled the scrub bandwidth.  stop() cancels
+  // the pending pass, so one chain runs and the stale pass never dispatches.
   aft::sim::Simulator sim;
   aft::hw::MemoryChip chip(16);
   aft::mem::EccScrubAccess method(chip, 16);
@@ -710,9 +710,12 @@ TEST(ScrubberDaemonTest, RestartRunsASingleChain) {
   scrubber.start();  // pass pending at t=10
   sim.run_until(5);
   scrubber.stop();
+  EXPECT_TRUE(sim.idle());
   scrubber.start();  // fresh chain: passes at 15, 25, 35, ...
+  EXPECT_EQ(sim.pending(), 1u);
   sim.run_until(105);  // exactly 10 fresh periods
   EXPECT_EQ(scrubber.passes(), 10u);
+  EXPECT_EQ(sim.executed(), 10u);
 }
 
 }  // namespace

@@ -532,9 +532,9 @@ TEST(RpcTest, DeadlineFiringDuringBackoffDoesNotDoubleFailTheAttempt) {
   // Regression: an app-error response fails the attempt early but used to
   // leave its deadline timer armed.  With the retry backoff longer than the
   // remaining deadline, the timer fired mid-backoff, saw the attempt
-  // counter unchanged (the epoch guard can't tell "still in flight" from
-  // "failed, awaiting retry"), and failed the same attempt a second time —
+  // counter unchanged, and failed the same attempt a second time —
   // double-counting breaker evidence and burning an extra attempt slot.
+  // The failure now cancels the deadline.
   RpcWorld w;
   CallOptions options;
   options.deadline = 10;                   // timer armed for t=10
@@ -552,6 +552,42 @@ TEST(RpcTest, DeadlineFiringDuringBackoffDoesNotDoubleFailTheAttempt) {
   // t=2 app error, the t=10 deadline re-fail of the same attempt, and the
   // second attempt's app error.
   EXPECT_EQ(w.client.counters().attempt_failures, 2u);
+}
+
+TEST(RpcTest, ReplyCancelsTheAttemptDeadline) {
+  RpcWorld w;
+  CallOptions options;
+  options.deadline = 1000;
+  std::vector<RpcResult> results;
+  w.client.call("echo", "x", options,
+                [&](const RpcResult& r) { results.push_back(r); });
+  w.sim.run_until(2);  // request and reply, one tick each way
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].status, RpcStatus::kOk);
+  EXPECT_TRUE(w.sim.idle());  // no deadline left to fire at t=1000
+  EXPECT_EQ(w.sim.executed(), 2u);
+}
+
+TEST(RpcTest, LateSuccessDuringTheBackoffCancelsTheRetry) {
+  // The attempt times out at t=5 and backs off until t=55; its reply,
+  // 20 ticks round trip, lands at t=20 and completes the call.
+  LinkFaults slow;
+  slow.latency = 10;
+  RpcWorld w(slow, slow);
+  CallOptions options;
+  options.deadline = 5;
+  options.retry.max_attempts = 2;
+  options.retry.initial_backoff = 50;
+  std::vector<RpcResult> results;
+  w.client.call("echo", "x", options,
+                [&](const RpcResult& r) { results.push_back(r); });
+  w.sim.run_until(20);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].status, RpcStatus::kOk);
+  EXPECT_EQ(results[0].attempts, 1u);
+  EXPECT_TRUE(w.sim.idle());  // the retry at t=55 is gone
+  w.sim.run_all();
+  EXPECT_EQ(w.server.counters().served, 1u);
 }
 
 TEST(RpcTest, ResponsesForSupersededAttemptsAreStale) {
@@ -972,6 +1008,26 @@ TEST(MembershipTest, StoppedHeartbeatsNoLongerArrive) {
   sim.run_all();
   // At most the already in-flight beat arrives after the stop.
   EXPECT_LE(server.heartbeats_received(), before + 1);
+}
+
+TEST(MembershipTest, RestartedHeartbeatsRunOneChain) {
+  Simulator sim;
+  Link c2s(sim, "client->server", LinkFaults{}, 35);
+  Link s2c(sim, "server->client", LinkFaults{}, 36);
+  Endpoint client(sim, "client", 37);
+  Endpoint server(sim, "server", 38);
+  client.attach(s2c, c2s);
+  server.attach(c2s, s2c);
+  client.start_heartbeats(5);  // beats at t=0, and one pending for t=5
+  sim.run_until(2);
+  client.start_heartbeats(5);  // restart: beats at t=2, 7, 12, ..., 52
+  sim.run_until(52);
+  client.stop_heartbeats();
+  sim.run_all();
+  EXPECT_EQ(server.heartbeats_received(), 12u);  // not 22: one chain ran
+  // Ticks at t=7..52 and 12 deliveries; start_heartbeats sends its first
+  // beat itself, and the tick pending for t=5 never dispatched.
+  EXPECT_EQ(sim.executed(), 10u + 12u);
 }
 
 TEST(MembershipTest, OnMissSurfacesRawMonitorEvidenceWithConsecutiveCounts) {

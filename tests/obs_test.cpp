@@ -8,11 +8,13 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "obs/cli.hpp"
+#include "obs_clock_reset.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -37,9 +39,9 @@ std::vector<std::string> lines_of(const std::string& text) {
 
 TEST(TraceSinkTest, EmitsJsonlKeyedByTimeAndSeq) {
   TraceSink sink;
-  sink.set_time(7);
+  aft::obs::set_obs_time(7);
   sink.emit("mem.ecc", "corrected", {{"addr", 42u}, {"origin", "read"}});
-  sink.set_time(9);
+  aft::obs::set_obs_time(9);
   sink.emit("detect", "latch", {{"score", 3.5}, {"latched", true}});
 
   const auto lines = lines_of(sink.jsonl());
@@ -77,10 +79,10 @@ TEST(TraceSinkTest, SeqAssignedAtWriteTimeAcrossAppendedSinks) {
   // out gapless and increasing in the merged file, independent of how the
   // events were distributed over per-job sinks.
   TraceSink job0;
-  job0.set_time(1);
+  aft::obs::set_obs_time(1);
   job0.emit("a", "x");
   TraceSink job1;
-  job1.set_time(2);
+  aft::obs::set_obs_time(2);
   job1.emit("b", "y");
   job1.emit("b", "z");
 
@@ -124,7 +126,7 @@ TEST(TraceSinkTest, BinaryIsCompactOnRepetitiveTraces) {
   // them to at least 5x below JSONL.
   TraceSink sink;
   for (int i = 0; i < 5000; ++i) {
-    sink.set_time(static_cast<std::uint64_t>(i));
+    aft::obs::set_obs_time(static_cast<std::uint64_t>(i));
     sink.emit("arch.bus", "publish-batch",
               {{"topic", "daemon-7"}, {"count", 256u}, {"subscribers", 5u}});
   }
@@ -139,11 +141,11 @@ TEST(TraceSinkTest, AppendedSinksSerializeIdenticallyToDirectEmission) {
   // sink — in both formats.  (The jobs interned independently, so append()
   // has to re-intern by content for this to hold.)
   const auto emit_job0 = [](TraceSink& s) {
-    s.set_time(1);
+    aft::obs::set_obs_time(1);
     s.emit("a", "x", {{"k", "v"}});
   };
   const auto emit_job1 = [](TraceSink& s) {
-    s.set_time(2);
+    aft::obs::set_obs_time(2);
     const aft::obs::EventId ev = s.emit("b", "y");
     s.set_cause(ev);
     s.emit("a", "z", {{"k", "w"}});
@@ -191,14 +193,14 @@ void expect_binary_decodes_to_jsonl(const TraceSink& sink) {
 
 TEST(TraceBufferTest, RecordOfAtLeast128BytesTakesAMultiByteLengthPrefix) {
   TraceSink sink;
-  sink.set_time(5);
+  aft::obs::set_obs_time(5);
   sink.emit("c", "short", {{"k", 1u}});
   constexpr std::uint64_t kBig = ~std::uint64_t{0};
   sink.emit("c", "long",
             {{"a", kBig}, {"b", kBig}, {"c", kBig}, {"d", kBig}, {"e", kBig},
              {"f", kBig}, {"g", kBig}, {"h", kBig}, {"i", kBig}, {"j", kBig},
              {"k", kBig}, {"l", kBig}});
-  sink.set_time(6);
+  aft::obs::set_obs_time(6);
   sink.emit("c", "after", {{"k", 2u}});
   const std::string bin = sink.binary();
   // Header (6) + string table + count + dropped; the long record's body is
@@ -217,7 +219,7 @@ TEST(TraceBufferTest, RecordsPastTheChunkBoundaryStayWhole) {
   std::size_t n = 0;
   while (sink.binary().size() < 2 * TraceSink::kChunkBytes + 4096) {
     for (int i = 0; i < 20000; ++i, ++n) {
-      sink.set_time(n / 3);
+      aft::obs::set_obs_time(n / 3);
       sink.set_cause(n % 7 == 0 ? aft::obs::kNoEvent : n - 1);
       sink.emit("net.link", "send",
                 {{"link", "coord->replica-0"},
@@ -235,22 +237,22 @@ TEST(TraceBufferTest, RecordsPastTheChunkBoundaryStayWhole) {
 
 TEST(TraceBufferTest, AppendOfDisjointTablesIntoTheCapKeepsTheLastKeptTime) {
   const auto emit_job0 = [](TraceSink& s) {
-    s.set_time(10);
+    aft::obs::set_obs_time(10);
     const aft::obs::EventId a = s.emit("job0", "start", {{"who", "alpha"}});
     s.set_cause(a);
-    s.set_time(12);
+    aft::obs::set_obs_time(12);
     s.emit("job0", "step", {{"n", 1}});
     s.set_cause(aft::obs::kNoEvent);
   };
   const auto emit_job1 = [](TraceSink& s) {
-    s.set_time(20);
+    aft::obs::set_obs_time(20);
     const aft::obs::EventId b = s.emit("job1", "begin", {{"whom", "beta"}});
     s.set_span(b);
-    s.set_time(25);
+    aft::obs::set_obs_time(25);
     s.emit("job1", "kept", {{"x", 2.5}});
-    s.set_time(30);
+    aft::obs::set_obs_time(30);
     s.emit("job1", "dropped", {{"y", "gamma"}});
-    s.set_time(40);
+    aft::obs::set_obs_time(40);
     s.emit("job1", "dropped", {{"y", "delta"}});
     s.set_span(aft::obs::kNoEvent);
   };
@@ -287,7 +289,7 @@ TEST(TraceBufferTest, AppendOfDisjointTablesIntoTheCapKeepsTheLastKeptTime) {
 
 TEST(TraceBufferTest, AllFiveFieldKindsRoundTrip) {
   TraceSink sink;
-  sink.set_time(~std::uint64_t{0} - 1);  // a time delta near 2^64
+  aft::obs::set_obs_time(~std::uint64_t{0} - 1);  // a time delta near 2^64
   sink.emit("c", "kinds",
             {{"u", std::uint64_t{0}},
              {"u_max", ~std::uint64_t{0}},
@@ -300,7 +302,7 @@ TEST(TraceBufferTest, AllFiveFieldKindsRoundTrip) {
              {"no", false},
              {"s", "quote\" and \x01 control"},
              {"empty", ""}});
-  sink.set_time(3);  // and a negative one
+  aft::obs::set_obs_time(3);  // and a negative one
   sink.emit("c", "back", {{"s", "quote\" and \x01 control"}});
   expect_binary_decodes_to_jsonl(sink);
   const std::string line = lines_of(sink.jsonl()).at(0);
@@ -456,12 +458,42 @@ TEST(ScopedObsTest, MacrosRouteToInstalledSinks) {
   AFT_METRIC_ADD("n", 2);
   AFT_METRIC_OBSERVE("lat", 7.0);
   EXPECT_EQ(sink.size(), 1u);
-  EXPECT_EQ(sink.time(), 3u);
+  EXPECT_NE(sink.jsonl().find(R"("t":3)"), std::string::npos);
   EXPECT_EQ(reg.counter("n"), 2u);
   ASSERT_NE(reg.find_stat("lat"), nullptr);
   EXPECT_EQ(reg.find_stat("lat")->quantile(0.5), 7u);
-  // set_obs_time drives the registry clock too (timeline windowing).
-  EXPECT_EQ(reg.time(), 3u);
+  // The one obs clock drives the registry too (timeline windowing).
+  EXPECT_EQ(aft::obs::obs_time(), 3u);
+}
+
+TEST(ScopedObsTest, EachScopeStartsTheClockAtZeroAndRestoresItOnExit) {
+  // Two scopes one after another on one thread, with the clock moved in
+  // between: the second scope's records taken before its first dispatch
+  // are stamped t=0, as a fresh sink's always were.
+  aft::sim::Simulator sim;
+  const auto at = [&sim](aft::sim::SimTime t) {
+    sim.schedule_at(t, [] { AFT_TRACE("c", "dispatched"); });
+    sim.run_all();
+  };
+  TraceSink first;
+  {
+    ScopedObs scope(&first, nullptr);
+    at(40);
+  }
+  at(90);  // untraced: the clock still moves
+  EXPECT_EQ(aft::obs::obs_time(), 90u);
+  TraceSink second;
+  {
+    ScopedObs scope(&second, nullptr);
+    AFT_TRACE("c", "before");
+    at(95);
+  }
+  EXPECT_EQ(aft::obs::obs_time(), 90u);
+  const auto lines = lines_of(second.jsonl());
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0].rfind(R"({"t":0,)", 0), 0u) << lines[0];
+  EXPECT_EQ(lines[1].rfind(R"({"t":95,)", 0), 0u) << lines[1];
+  EXPECT_EQ(lines_of(first.jsonl()).at(0).rfind(R"({"t":40,)", 0), 0u);
 }
 
 TEST(ObsCliTest, ParsesFlagsAndInstallsSinks) {
@@ -551,7 +583,7 @@ TEST(TraceSinkTest, SpanAndCauseSerializedAfterSeqWhenSet) {
   sink.emit("c", "plain");
   sink.set_span(0);
   sink.set_cause(0);
-  sink.set_time(4);
+  aft::obs::set_obs_time(4);
   sink.emit("c", "chained", {{"k", 1}});
 
   const auto lines = lines_of(sink.jsonl());
@@ -760,6 +792,27 @@ TEST(CauseScopeTest, RecordDroppedByTheCapInstallsNothing) {
   EXPECT_EQ(sink.dropped(), 1u);
 }
 
+TEST(FlightRecorderTest, AThreadInstallsItsOwnRecorderOnItsFirstNote) {
+  if (aft::obs::flight() == nullptr || !aft::obs::FlightRecorder::enabled()) {
+    GTEST_SKIP() << "recording is off";
+  }
+  std::thread([] {
+    // Before its first note a thread holds the shared, ringless placeholder.
+    aft::obs::FlightRecorder* const placeholder = aft::obs::flight();
+    ASSERT_EQ(placeholder, &aft::obs::FlightRecorder::placeholder);
+    EXPECT_EQ(placeholder->capacity(), 0u);
+    aft::obs::set_obs_time(7);
+    aft::obs::flight_note("c", "first");
+    aft::obs::FlightRecorder* const own = aft::obs::flight();
+    ASSERT_NE(own, placeholder);
+    EXPECT_EQ(placeholder->size(), 0u);  // the placeholder is never written
+    const auto records = own->snapshot();
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].t, 7u);
+    EXPECT_EQ(records[0].event, "first");
+  }).join();
+}
+
 TEST(CauseScopeTest, WithoutASinkTheRecordGoesToTheFlightRecorder) {
   aft::obs::FlightRecorder recorder(8);
   aft::obs::ScopedFlight flight_scope(&recorder);
@@ -801,7 +854,7 @@ TEST(FlightRecorderTest, SinkEmitsFeedTheInstalledRecorder) {
   aft::obs::ScopedFlight flight_scope(&recorder);
   TraceSink sink;
   ScopedObs scope(&sink, nullptr);
-  sink.set_time(42);
+  aft::obs::set_obs_time(42);
   sink.emit("c", "e");
   const auto records = recorder.snapshot();
   ASSERT_EQ(records.size(), 1u);

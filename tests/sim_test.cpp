@@ -6,7 +6,9 @@
 #include <array>
 #include <memory>
 #include <queue>
+#include <set>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -141,6 +143,38 @@ TEST(SimulatorTest, ActionsMayHoldMoveOnlyCaptures) {
   sim.schedule_at(1, [&out, p = std::move(payload)] { out = *p + 1; });
   sim.run_all();
   EXPECT_EQ(out, 42);
+}
+
+TEST(SimulatorTest, ScheduleBuildsTheContinuationInItsSlot) {
+  // One construction per schedule: a temporary is moved once, straight
+  // into its pool slot, and an lvalue copied once; dispatch runs it there.
+  struct Counted {
+    int* moves;
+    int* copies;
+    Counted(int* m, int* c) noexcept : moves(m), copies(c) {}
+    Counted(Counted&& o) noexcept : moves(o.moves), copies(o.copies) { ++*moves; }
+    Counted(const Counted& o) noexcept : moves(o.moves), copies(o.copies) {
+      ++*copies;
+    }
+    Counted& operator=(const Counted&) = delete;
+    Counted& operator=(Counted&&) = delete;
+    ~Counted() = default;
+    void operator()() const {}
+  };
+  static_assert(Simulator::fits_inline<Counted>);
+  Simulator sim;
+  int moves = 0;
+  int copies = 0;
+  sim.schedule_in(1, Counted{&moves, &copies});
+  EXPECT_EQ(moves, 1);
+  EXPECT_EQ(copies, 0);
+  const Counted lvalue{&moves, &copies};
+  sim.schedule_at(2, lvalue);
+  EXPECT_EQ(moves, 1);
+  EXPECT_EQ(copies, 1);
+  sim.run_all();
+  EXPECT_EQ(moves, 1);
+  EXPECT_EQ(copies, 1);
 }
 
 TEST(SimulatorTest, InTreeContinuationShapesFitInline) {
@@ -454,5 +488,163 @@ TEST(SimulatorDifferentialTest, TierMixMatchesPriorityQueueModel) {
 }
 
 }  // namespace differential
+
+// --- Cancellation ------------------------------------------------------------
+
+TEST(SimulatorCancelTest, CancelledEntriesNeverRunAndAreNotCounted) {
+  Simulator sim;
+  std::vector<int> ran;
+  const Simulator::Handle near = sim.schedule_in(3, [&] { ran.push_back(1); });
+  const Simulator::Handle far =
+      sim.schedule_in(Simulator::kWindow + 5, [&] { ran.push_back(2); });
+  sim.schedule_in(4, [&] { ran.push_back(3); });
+  EXPECT_EQ(sim.pending(), 3u);
+  sim.cancel(near);
+  sim.cancel(far);
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.cancel(near);  // double cancel
+  sim.cancel(Simulator::Handle{});  // a handle to nothing
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_EQ(sim.run_all(), 1u);
+  EXPECT_EQ(ran, std::vector<int>{3});
+  EXPECT_EQ(sim.executed(), 1u);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(sim.now(), 4u);  // the cancelled far entry moved no clock
+}
+
+TEST(SimulatorCancelTest, CancelledContinuationIsDestroyedAtOnce) {
+  Simulator sim;
+  auto token = std::make_shared<int>(0);
+  const Simulator::Handle near = sim.schedule_in(1, [token] {});
+  const Simulator::Handle far = sim.schedule_in(5000, [token] {});
+  sim.schedule_in(6000, [] {});  // keeps the far tombstone below the top
+  EXPECT_EQ(token.use_count(), 3);
+  sim.cancel(near);
+  sim.cancel(far);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(SimulatorCancelTest, StaleHandleToARecycledSlotCancelsNothing) {
+  Simulator sim;
+  const Simulator::Handle first = sim.schedule_in(1, [] {});
+  sim.run_all();  // frees the slot
+  int ran = 0;
+  const Simulator::Handle second = sim.schedule_in(1, [&] { ++ran; });
+  EXPECT_EQ(second.slot, first.slot);  // LIFO freelist: the same slot
+  sim.cancel(first);
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run_all();
+  EXPECT_EQ(ran, 1);
+}
+
+// The reference model of the order the kernel promises: live entries
+// dispatch by (when, seq); a cancel removes a live entry and is otherwise a
+// no-op.  Kernel and model take every operation in lockstep; each dispatch
+// pops the model's minimum and must name the same event.
+struct CancelModel {
+  struct Event {
+    Simulator::Handle handle;
+    SimTime when = 0;
+    bool far = false;
+  };
+  Simulator sim;
+  std::set<std::tuple<SimTime, std::uint64_t, int>> queue;
+  std::vector<Event> events;
+  std::uint64_t next_seq = 0;
+  aft::util::Xoshiro256 rng;
+  std::size_t cancelled_near = 0, cancelled_far = 0, no_ops = 0, from_actions = 0;
+  std::size_t fired = 0, ties_across_tiers = 0;
+  SimTime last_when = ~SimTime{0};
+  bool last_far = false;
+
+  explicit CancelModel(std::uint64_t seed) : rng(seed) {}
+
+  void schedule(SimTime delay) {
+    const int id = static_cast<int>(events.size());
+    const SimTime when = sim.now() + delay;
+    const Simulator::Handle h = sim.schedule_at(when, [this, id] { fire(id); });
+    EXPECT_EQ(h.seq, next_seq);
+    queue.emplace(when, next_seq++, id);
+    events.push_back(Event{h, when, delay >= Simulator::kWindow});
+  }
+
+  void cancel(int id) {
+    const Event& e = events[static_cast<std::size_t>(id)];
+    if (queue.erase({e.when, e.handle.seq, id}) == 1) {
+      ++(e.far ? cancelled_far : cancelled_near);
+    } else {
+      ++no_ops;
+    }
+    sim.cancel(e.handle);
+    ASSERT_EQ(sim.pending(), queue.size());
+  }
+
+  /// Mostly a recent event (likely still pending), else any event.
+  int pick() {
+    const std::size_t n = events.size();
+    const std::size_t lo = rng.uniform_int(0, 3) != 0 && n > 48 ? n - 48 : 0;
+    return static_cast<int>(rng.uniform_int(lo, n - 1));
+  }
+
+  SimTime pick_delay() {
+    constexpr SimTime kW = Simulator::kWindow;
+    constexpr std::array<SimTime, 9> kDelays{0, 1, 2, 3, kW - 1, kW, kW + 1, 700, 5000};
+    return kDelays[rng.uniform_int(0, kDelays.size() - 1)];
+  }
+
+  void fire(int id) {
+    ASSERT_FALSE(queue.empty());
+    const auto [when, seq, want] = *queue.begin();
+    queue.erase(queue.begin());
+    ASSERT_EQ(id, want);
+    ASSERT_EQ(sim.now(), when);
+    const bool far = events[static_cast<std::size_t>(id)].far;
+    if (when == last_when && far != last_far) ++ties_across_tiers;
+    last_when = when;
+    last_far = far;
+    ++fired;
+    // Reactions: cancel itself (running: a no-op) or any other event, and
+    // schedule follow-ups, so cancels and schedules also come from inside
+    // a dispatched action.
+    const std::uint64_t roll = rng.uniform_int(0, 9);
+    if (roll < 2) {
+      ++from_actions;
+      cancel(roll == 0 ? id : pick());
+    }
+    if (roll >= 5 && events.size() < 6000) schedule(pick_delay());
+  }
+};
+
+TEST(SimulatorCancelTest, InterleavingsMatchTheWhenSeqModel) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    CancelModel m(seed);
+    for (int op = 0; op < 12000; ++op) {
+      const std::uint64_t roll = m.rng.uniform_int(0, 9);
+      if (roll < 4 || m.events.empty()) {
+        m.schedule(m.pick_delay());
+      } else if (roll < 7) {
+        m.cancel(m.pick());  // live, fired, cancelled or recycled
+      } else if (roll < 8) {
+        m.sim.step();
+      } else {
+        const SimTime to = m.sim.now() + m.rng.uniform_int(0, 24);
+        m.sim.run_until(to);
+        ASSERT_TRUE(m.queue.empty() || std::get<0>(*m.queue.begin()) > to);
+      }
+      ASSERT_EQ(m.sim.pending(), m.queue.size());
+      ASSERT_EQ(m.sim.idle(), m.queue.empty());
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    m.sim.run_all();
+    EXPECT_TRUE(m.queue.empty());
+    EXPECT_EQ(m.sim.executed(), m.fired);
+    EXPECT_GT(m.cancelled_near, 150u);
+    EXPECT_GT(m.cancelled_far, 200u);
+    EXPECT_GT(m.no_ops, 500u);
+    EXPECT_GT(m.from_actions, 200u);
+    EXPECT_GT(m.ties_across_tiers, 5u);
+  }
+}
 
 }  // namespace

@@ -141,11 +141,11 @@ TEST(MetricsTimelineTest, RegistryRoutesIntoRegisteredTimelines) {
   reg.timeline_counter("calls", 10);
   reg.timeline_gauge("level", 10);
 
-  reg.set_time(2);
+  aft::obs::set_obs_time(2);
   reg.observe("lat", 4.0);
   reg.add("calls", 2);
   reg.set_gauge("level", 3.0);
-  reg.set_time(15);
+  aft::obs::set_obs_time(15);
   reg.observe("lat", 8.0);
   reg.add("calls", 1);
   reg.set_gauge("level", 5.0);
@@ -186,12 +186,12 @@ TEST(MetricsTimelineTest, RegistrationIsIdempotentFirstWindowWins) {
 TEST(MetricsTimelineTest, MergePreservesTimelinesAcrossRegistries) {
   MetricsRegistry a;
   a.timeline("lat", 10);
-  a.set_time(1);
+  aft::obs::set_obs_time(1);
   a.observe("lat", 2.0);
 
   MetricsRegistry b;
   b.timeline("lat", 10);
-  b.set_time(12);
+  aft::obs::set_obs_time(12);
   b.observe("lat", 6.0);
 
   a.merge(b);
@@ -203,7 +203,7 @@ TEST(MetricsTimelineTest, MergePreservesTimelinesAcrossRegistries) {
   EXPECT_EQ(w[1].p50, 6u);
 
   // Post-merge samples must keep flowing into the (re-linked) timeline.
-  a.set_time(25);
+  aft::obs::set_obs_time(25);
   a.observe("lat", 9.0);
   ASSERT_EQ(a.find_timeline("lat")->snapshot().size(), 3u);
 }
@@ -220,7 +220,7 @@ TEST(MetricsTimelineTest, MergedIntegerSectionsEqualSingleRegistryBytes) {
   const auto feed = [](MetricsRegistry& reg, std::uint64_t t0,
                        std::uint64_t t1) {
     for (std::uint64_t t = t0; t < t1; t += 2) {
-      reg.set_time(t);
+      aft::obs::set_obs_time(t);
       reg.observe("lat", static_cast<double>((t * 13) % 90));
       reg.add("calls");
       reg.set_gauge("level", static_cast<double>(t % 7));

@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <array>
+#include <cerrno>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -80,15 +83,6 @@ TEST(MedianVoteTest, RobustToMinorityOutliers) {
 TEST(MedianVoteTest, EvenSizeTakesLowerMedian) {
   const std::array<Ballot, 4> b{1, 2, 3, 4};
   EXPECT_EQ(median_vote(b), 2);
-}
-
-TEST(MajorityVoteInplaceTest, MatchesCopyingVariant) {
-  std::vector<Ballot> v{7, 3, 7, 3, 7};
-  const auto copying = majority_vote(v);
-  const auto inplace = majority_vote_inplace(v);
-  EXPECT_EQ(copying.has_majority, inplace.has_majority);
-  EXPECT_EQ(copying.winner, inplace.winner);
-  EXPECT_EQ(copying.dissent, inplace.dissent);
 }
 
 // --- The agreement path against the sorted reference ---------------------------
@@ -174,13 +168,6 @@ TEST(MajorityVoteTest, AgreementPathMatchesTheSortedReference) {
     expect_outcome(majority_vote(current), want, "majority_vote", trial);
     expect_outcome(majority_vote(current, scratch), want, "majority_vote+scratch",
                    trial);
-    std::vector<Ballot> inplace = current;
-    expect_outcome(majority_vote_inplace(inplace), want, "majority_vote_inplace",
-                   trial);
-    std::sort(inplace.begin(), inplace.end());
-    std::vector<Ballot> sorted = current;
-    std::sort(sorted.begin(), sorted.end());
-    EXPECT_EQ(inplace, sorted) << "inplace lost ballots, trial " << trial;
 
     // The farm votes at odd arity: an odd round goes through invoke(), and
     // through tally() both in full and with its tail left uncollected.
@@ -207,6 +194,15 @@ TEST(MajorityVoteTest, AgreementPathMatchesTheSortedReference) {
   EXPECT_GT(tied, 200u);
 }
 
+/// parse_ballot's earlier strtoll body: the differential oracle.
+std::optional<Ballot> strtoll_ballot(const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno != 0) return std::nullopt;
+  return static_cast<Ballot>(value);
+}
+
 TEST(ParseBallotTest, AcceptsExactlyOneInRangeDecimalInteger) {
   struct Case {
     const char* text;
@@ -227,7 +223,48 @@ TEST(ParseBallotTest, AcceptsExactlyOneInRangeDecimalInteger) {
   };
   for (const Case& c : cases) {
     EXPECT_EQ(parse_ballot(c.text), c.ballot) << '"' << c.text << '"';
+    EXPECT_EQ(strtoll_ballot(c.text), c.ballot) << '"' << c.text << '"';
   }
+}
+
+TEST(ParseBallotTest, MatchesTheStrtollParserOnSeededStrings) {
+  // Strings glued from pieces that reach every corner of strtoll's accept
+  // set: the six C-locale white-space characters and two that are not,
+  // both signs, digit runs at and past the int64 limits, junk, and an
+  // embedded NUL (the text ends there, for both parsers).
+  using namespace std::string_literals;
+  const std::array<std::string, 24> kPieces{
+      " ", "\t", "\n", "\v", "\f", "\r", "\x1c", "\xa0",
+      "+", "-", "0", "7", "42", "00",
+      "9223372036854775807", "9223372036854775808", "922337203685477580",
+      "99999999999999999999", "x", "0x1", "e3", ".", "\0"s, "7\0x"s};
+  aft::util::Xoshiro256 rng(31);
+  std::size_t accepted = 0;
+  std::size_t overflowed = 0;
+  std::string text;
+  for (std::size_t trial = 0; trial < 120'000; ++trial) {
+    text.clear();
+    const std::size_t pieces = rng.uniform_int(0, 5);
+    for (std::size_t k = 0; k < pieces; ++k) {
+      if (rng.uniform_int(0, 3) == 0) {  // a random digit run, 1..21 long
+        const std::size_t n = rng.uniform_int(1, 21);
+        for (std::size_t d = 0; d < n; ++d) {
+          text.push_back(static_cast<char>('0' + rng.uniform_int(0, 9)));
+        }
+      } else {
+        text += kPieces[rng.uniform_int(0, kPieces.size() - 1)];
+      }
+    }
+    const std::optional<Ballot> want = strtoll_ballot(text);
+    ASSERT_EQ(parse_ballot(text), want) << "trial " << trial;
+    if (want.has_value()) ++accepted;
+    errno = 0;
+    char* end = nullptr;
+    static_cast<void>(std::strtoll(text.c_str(), &end, 10));
+    if (errno == ERANGE) ++overflowed;
+  }
+  EXPECT_GT(accepted, 10'000u);
+  EXPECT_GT(overflowed, 1'000u);
 }
 
 // --- dtof: the exact Fig. 5 table -------------------------------------------------

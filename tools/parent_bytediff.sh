@@ -15,6 +15,10 @@
 #   fig7_redundancy_histogram (AFT_FIG7_STEPS=500000), mission_simulator,
 #   adaptive_redundancy
 #       stdout
+#   abl_cluster_adaptation, untraced, with AFT_FLIGHT_PATH set
+#       the flight-recorder dumps it writes on discriminator suspension
+#       (the always-on black box, which no traced run exercises: with a
+#       sink installed a dump lands in the trace instead)
 #
 # abl_switchboard_policy's frugal rows and adaptive_redundancy vote rounds
 # with no majority, the ones the voter still sorts.  The three memory
@@ -22,7 +26,9 @@
 #
 # Every run's exit status is kept too.  Each output of the tree is compared
 # with `cmp` against <ref>'s; one line per file is printed and the script
-# exits 1 if any pair differs.  Builds and outputs go to `workdir` (a new
+# exits 1 if any pair differs, or if a flight dump file came out empty.
+# Campaign jobs on parallel workers append their dumps in any order, so at
+# AFT_THREADS 8 the dump blocks are sorted before the comparison.  Builds and outputs go to `workdir` (a new
 # temporary directory by default), which is kept for inspection.
 set -euo pipefail
 
@@ -64,6 +70,11 @@ echo "building $ref and the working tree (Release) in $work" >&2
 build "$work/ref-src" "$work/ref-build" "$work/ref-build.log"
 build "$root" "$work/head-build" "$work/head-build.log"
 
+sort_dump_blocks() {  # stdin -> stdout: whole dump blocks, in sorted order
+  awk '/"event":"dump"/ && NR > 1 { print "" } { printf "%s\037", $0 }
+       END { if (NR > 0) print "" }' | LC_ALL=C sort | tr -d '\n' | tr '\037' '\n'
+}
+
 run() {  # <build dir> <out dir>
   local bin=$1 out=$2 n b rc
   rm -rf "$out"
@@ -81,6 +92,17 @@ run() {  # <build dir> <out dir>
           --trace-format bin > /dev/null 2>&1) || rc=$?
       echo "$rc" > "$out/$b.$n.bin.rc"
     done
+    rc=0
+    (cd "$out" && AFT_THREADS=$n AFT_FLIGHT_PATH="$out/flight.raw" \
+        "$bin/bench/abl_cluster_adaptation" > /dev/null 2>&1) || rc=$?
+    echo "$rc" > "$out/flight.$n.rc"
+    if [[ $n == 1 ]]; then
+      mv "$out/flight.raw" "$out/flight.$n.jsonl" 2> /dev/null || : > "$out/flight.$n.jsonl"
+    else
+      touch "$out/flight.raw"
+      sort_dump_blocks < "$out/flight.raw" > "$out/flight.$n.jsonl"
+      rm -f "$out/flight.raw"
+    fi
     rc=0
     (cd "$out" && AFT_THREADS=$n AFT_FIG7_STEPS=500000 \
         "$bin/bench/fig7_redundancy_histogram" > "fig7.$n.stdout" 2> /dev/null) ||
@@ -114,5 +136,8 @@ for f in $(cd "$work/out-ref" && ls | sort); do
 done
 for f in $(cd "$work/out-head" && ls | sort); do
   [[ -f "$work/out-ref/$f" ]] || { echo "EXTRA      $f"; status=1; }
+done
+for f in "$work"/out-head/flight.*.jsonl; do
+  [[ -s $f ]] || { echo "EMPTY      $(basename "$f")"; status=1; }
 done
 exit $status
