@@ -18,7 +18,10 @@
 // open-loop timer mix (thousands of long deadline timers parked beside
 // short-delay traffic), plus an ungated kernel-only row: requests whose
 // replies cancel their deadlines against requests whose deadlines fire
-// stale (timer_cancel).  The process still exits
+// stale (timer_cancel).  Two more ungated rows price the obs plane's
+// static names: metric_add (one AFT_METRIC_ADD through its site handle
+// against a by-name MetricsRegistry::add) and trace_emit (ns per
+// link-send-shaped TraceSink::emit).  The process still exits
 // 0 in non-Release builds, where the gates are informational.
 #include <algorithm>
 #include <chrono>
@@ -28,6 +31,7 @@
 #include <functional>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <optional>
 #include <queue>
 #include <set>
@@ -583,6 +587,60 @@ double histogram_add_ns(const std::vector<double>& stream) {
   return secs * 1e9 / static_cast<double>(stream.size());
 }
 
+// --- metric_add / trace_emit: the cost of a static name -----------------------
+//
+// A metric site resolves its name once per registry and then adds straight
+// into the cached node; the by-name call descends the string-keyed map on
+// every add.  The registry holds about as many counters as a traced
+// open-loop run, so the descent is as deep as in situ.  trace_emit times
+// the record the link layer emits per frame: two Name lookups (component,
+// event), three keys and one string value.  Per-operation nanoseconds,
+// best-of-kRepeats.
+
+constexpr std::uint64_t kNameOps = 1u << 20;
+
+std::unique_ptr<aft::obs::MetricsRegistry> populated_registry() {
+  auto reg = std::make_unique<aft::obs::MetricsRegistry>();
+  for (int i = 0; i < 72; ++i) {
+    reg->add("net.metric." + std::to_string(i * 7919 % 1000), 0);
+  }
+  return reg;
+}
+
+double metric_add_site_ns() {
+  const auto reg = populated_registry();
+  const aft::obs::ScopedObs scope(nullptr, reg.get());
+  const double secs = best_time([] {
+    for (std::uint64_t i = 0; i < kNameOps; ++i) {
+      AFT_METRIC_ADD("net.link.sent", 1);
+    }
+  });
+  g_sink ^= reg->counter("net.link.sent");
+  return secs * 1e9 / static_cast<double>(kNameOps);
+}
+
+double metric_add_by_name_ns() {
+  const auto reg = populated_registry();
+  const double secs = best_time([&reg] {
+    for (std::uint64_t i = 0; i < kNameOps; ++i) reg->add("net.link.sent", 1);
+  });
+  g_sink ^= reg->counter("net.link.sent");
+  return secs * 1e9 / static_cast<double>(kNameOps);
+}
+
+double trace_emit_ns() {
+  static const std::string kLink = "coord->replica-0";
+  const double secs = best_time([] {
+    aft::obs::TraceSink sink(kNameOps + 1);
+    for (std::uint64_t i = 0; i < kNameOps; ++i) {
+      sink.emit("net.link", "send",
+                {{"link", kLink}, {"kind", "request"}, {"id", i}});
+    }
+    g_sink ^= sink.size();
+  });
+  return secs * 1e9 / static_cast<double>(kNameOps);
+}
+
 // --- Differential spot-checks ------------------------------------------------
 
 /// Before trusting any timing: both kernels must dispatch an adversarial
@@ -712,6 +770,9 @@ int main() {
   const double welford_ns = welford_add_ns(stream);
   const double hist_ns = histogram_add_ns(stream);
   const double observe_ratio = hist_ns / welford_ns;
+  const double site_ns = metric_add_site_ns();
+  const double by_name_ns = metric_add_by_name_ns();
+  const double emit_ns = trace_emit_ns();
 
   const auto row = [](const char* name, double kernel, double ref,
                       const char* unit) {
@@ -734,6 +795,11 @@ int main() {
   std::cout << "  metrics observe  : histogram add " << json_number(hist_ns)
             << " ns vs welford add " << json_number(welford_ns) << " ns ("
             << json_number(observe_ratio) << "x)\n";
+  std::cout << "  metric add       : site handle " << json_number(site_ns)
+            << " ns vs by name " << json_number(by_name_ns) << " ns ("
+            << json_number(by_name_ns / site_ns) << "x)\n";
+  std::cout << "  trace emit       : " << json_number(emit_ns)
+            << " ns per link-send record\n";
 
   const double sd_speedup = sd_kernel / sd_ref;
   const double mesh_speedup = mesh_kernel_rate / mesh_ref_rate;
@@ -784,6 +850,11 @@ int main() {
        << "  \"metrics_observe\": {\"hist_add_ns\": " << json_number(hist_ns)
        << ", \"welford_add_ns\": " << json_number(welford_ns)
        << ", \"ratio\": " << json_number(observe_ratio) << "},\n"
+       << "  \"metric_add\": {\"site_ns\": " << json_number(site_ns)
+       << ", \"by_name_ns\": " << json_number(by_name_ns)
+       << ", \"speedup\": " << json_number(by_name_ns / site_ns) << "},\n"
+       << "  \"trace_emit\": {\"ns_per_record\": " << json_number(emit_ns)
+       << "},\n"
        << "  \"gate_2x\": " << (pass ? "true" : "false") << ",\n"
        << "  \"gate_observe\": " << (observe_pass ? "true" : "false") << "\n"
        << "}\n";

@@ -61,7 +61,7 @@ ExperimentResult run_adaptation_experiment(
     std::optional<obs::SpanGuard> phase_span;
     if (sink != nullptr) {
       obs::set_obs_time(step);
-      phase_span.emplace("autonomic.experiment",
+      phase_span.emplace(obs::Name("autonomic.experiment"),
                          phase.corruption_prob > 0.0 ? "burst" : "calm");
       sink->emit("autonomic.experiment", "phase",
                  {{"duration", phase.duration},

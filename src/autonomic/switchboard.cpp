@@ -34,7 +34,8 @@ void ReflectiveSwitchboard::request_resize(std::size_t target, bool raised) {
       ++lowers_;
       AFT_METRIC_ADD("autonomic.lowers", 1);
     }
-    AFT_TRACE("autonomic.switchboard", raised ? "raise" : "lower",
+    AFT_TRACE("autonomic.switchboard",
+              raised ? obs::Name("raise") : obs::Name("lower"),
               {{"replicas", farm_.replicas()}});
     if (hook_) hook_(farm_.replicas(), raised);
   }

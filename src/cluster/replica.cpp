@@ -181,10 +181,8 @@ void ReplicatedService::enqueue(vote::Ballot input, Done done) {
   if (queue_.size() > counters_.queue_peak) {
     counters_.queue_peak = queue_.size();
   }
-  if (obs::MetricsRegistry* const reg = obs::metrics()) {
-    reg->set_gauge("cluster.admission.queue_depth",
+  AFT_METRIC_GAUGE("cluster.admission.queue_depth",
                    static_cast<double>(queue_.size()));
-  }
 }
 
 void ReplicatedService::shed(Done done, obs::EventId cause) {
@@ -317,10 +315,8 @@ void ReplicatedService::finalize_round() {
   if (!round_in_flight_ && !queue_.empty()) {
     Pending next = std::move(queue_.front());
     queue_.pop_front();
-    if (obs::MetricsRegistry* const reg = obs::metrics()) {
-      reg->set_gauge("cluster.admission.queue_depth",
+    AFT_METRIC_GAUGE("cluster.admission.queue_depth",
                      static_cast<double>(queue_.size()));
-    }
     // Reinstate the queued caller's causal context (snapshotted at
     // enqueue): without this the dequeued round chained to whatever
     // happened to complete the previous round — `aft_trace why` blamed an

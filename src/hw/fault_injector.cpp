@@ -10,7 +10,7 @@ namespace {
 /// cause, so everything the fault sets in motion — detector verdicts, scrub
 /// repairs, reconfigurations — carries a causal chain that `aft_trace why`
 /// can walk back to this injection.
-void mark_injection(const char* event,
+void mark_injection(obs::Name event,
                     std::initializer_list<obs::Field> fields) {
   AFT_METRIC_ADD("hw.injections", 1);
   if (obs::TraceSink* sink = obs::trace(); sink != nullptr) {

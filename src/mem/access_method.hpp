@@ -13,6 +13,7 @@
 #include <string_view>
 
 #include "mem/failure_semantics.hpp"
+#include "obs/name.hpp"
 
 namespace aft::mem {
 

@@ -16,7 +16,7 @@ ReadResult EccScrubAccess::read(std::size_t addr) {
   if (!dev.available) {
     ++stats_.data_losses;
     AFT_METRIC_ADD("mem.ecc.unavailable", 1);
-    AFT_TRACE(name(), "unavailable", {{"addr", addr}});
+    AFT_TRACE(kName, "unavailable", {{"addr", addr}});
     return ReadResult{ReadStatus::kUnavailable, 0};
   }
   const EccDecode dec = ecc_decode(dev.word);
@@ -27,13 +27,13 @@ ReadResult EccScrubAccess::read(std::size_t addr) {
       ++stats_.corrected_singles;
       chip_.write(addr, dec.repaired);  // demand scrub
       AFT_METRIC_ADD("mem.ecc.corrected", 1);
-      AFT_TRACE(name(), "corrected", {{"addr", addr}, {"origin", "read"}});
+      AFT_TRACE(kName, "corrected", {{"addr", addr}, {"origin", "read"}});
       return ReadResult{ReadStatus::kCorrected, dec.data};
     case EccStatus::kDetectedDouble:
       ++stats_.double_detected;
       ++stats_.data_losses;
       AFT_METRIC_ADD("mem.ecc.uncorrectable", 1);
-      AFT_TRACE(name(), "uncorrectable", {{"addr", addr}});
+      AFT_TRACE(kName, "uncorrectable", {{"addr", addr}});
       return ReadResult{ReadStatus::kUncorrectable, 0};
   }
   return ReadResult{ReadStatus::kUncorrectable, 0};
@@ -86,7 +86,7 @@ void EccScrubAccess::scrub_step() {
           ++stats_.corrected_singles;
           chip_.write(addr + i, dec.repaired);
           AFT_METRIC_ADD("mem.ecc.corrected", 1);
-          AFT_TRACE(name(), "corrected", {{"addr", addr + i}, {"origin", "scrub"}});
+          AFT_TRACE(kName, "corrected", {{"addr", addr + i}, {"origin", "scrub"}});
         }
       }
     }
@@ -94,8 +94,8 @@ void EccScrubAccess::scrub_step() {
     if (scrub_cursor_ == 0 && sweep_open_ && reg != nullptr &&
         obs::obs_time() >= sweep_start_t_) {
       sweep_open_ = false;
-      reg->observe("mem.scrub.sweep_ticks",
-                   static_cast<double>(obs::obs_time() - sweep_start_t_));
+      AFT_METRIC_OBSERVE("mem.scrub.sweep_ticks",
+                         static_cast<double>(obs::obs_time() - sweep_start_t_));
     }
     remaining -= run;
   }

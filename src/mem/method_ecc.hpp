@@ -21,7 +21,10 @@ class EccScrubAccess final : public IMemoryAccessMethod {
   /// `words_per_scrub_step` bounds the work done by one scrub_step() call.
   explicit EccScrubAccess(hw::MemoryChip& chip, std::size_t words_per_scrub_step = 64);
 
-  [[nodiscard]] std::string_view name() const noexcept override { return "M1-ecc-scrub"; }
+  /// The component name of this method's trace records.
+  static constexpr obs::Name kName = "M1-ecc-scrub";
+
+  [[nodiscard]] std::string_view name() const noexcept override { return kName; }
   [[nodiscard]] MethodCost cost() const noexcept override {
     return MethodCost{.storage_factor = 1.125,
                       .read_cost = 1.2,

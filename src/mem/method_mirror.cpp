@@ -22,7 +22,7 @@ void SelMirrorAccess::recover_device(hw::MemoryChip& victim, hw::MemoryChip& sou
   victim.power_cycle();
   ++stats_.power_cycles;
   AFT_METRIC_ADD("mem.mirror.power_cycles", 1);
-  AFT_TRACE(name(), "power-cycle", {{"victim", &victim == &a_ ? "a" : "b"}});
+  AFT_TRACE(kName, "power-cycle", {{"victim", &victim == &a_ ? "a" : "b"}});
   if (source.state() != hw::ChipState::kOperational) return;  // nothing to copy
   // Clamp to the devices' current sizes: a resized (shrunk) chip must not
   // turn the rebuild copy loop into an out-of-range fault.
@@ -34,7 +34,7 @@ void SelMirrorAccess::recover_device(hw::MemoryChip& victim, hw::MemoryChip& sou
   }
   ++stats_.rebuilds;
   AFT_METRIC_ADD("mem.mirror.rebuilds", 1);
-  AFT_TRACE(name(), "rebuild",
+  AFT_TRACE(kName, "rebuild",
             {{"victim", &victim == &a_ ? "a" : "b"}, {"words", copy_words}});
 }
 
@@ -66,7 +66,7 @@ ReadResult SelMirrorAccess::read_with_fallback(std::size_t addr,
     recover_device(second, first);
     ++stats_.data_losses;
     AFT_METRIC_ADD("mem.mirror.data_losses", 1);
-    AFT_TRACE(name(), "data-loss", {{"addr", addr}, {"cause", "both-down"}});
+    AFT_TRACE(kName, "data-loss", {{"addr", addr}, {"cause", "both-down"}});
     return ReadResult{ReadStatus::kUnavailable, 0};
   }
   const EccDecode dec2 = ecc_decode(dev2.word);
@@ -74,7 +74,7 @@ ReadResult SelMirrorAccess::read_with_fallback(std::size_t addr,
     ++stats_.double_detected;
     ++stats_.data_losses;
     AFT_METRIC_ADD("mem.mirror.data_losses", 1);
-    AFT_TRACE(name(), "data-loss", {{"addr", addr}, {"cause", "double-double"}});
+    AFT_TRACE(kName, "data-loss", {{"addr", addr}, {"cause", "double-double"}});
     return ReadResult{ReadStatus::kUncorrectable, 0};
   }
   if (dec2.status == EccStatus::kCorrectedSingle) {

@@ -19,7 +19,10 @@ class SelMirrorAccess final : public IMemoryAccessMethod {
   SelMirrorAccess(hw::MemoryChip& primary, hw::MemoryChip& mirror,
                   std::size_t words_per_scrub_step = 64);
 
-  [[nodiscard]] std::string_view name() const noexcept override { return "M3-sel-mirror"; }
+  /// The component name of this method's trace records.
+  static constexpr obs::Name kName = "M3-sel-mirror";
+
+  [[nodiscard]] std::string_view name() const noexcept override { return kName; }
   [[nodiscard]] MethodCost cost() const noexcept override {
     return MethodCost{.storage_factor = 2.25,
                       .read_cost = 1.3,

@@ -46,7 +46,7 @@ std::size_t EccRemapAccess::retire_if_stuck(std::size_t logical, std::size_t phy
   chip_.write(spare, codeword);
   ++stats_.remaps;
   AFT_METRIC_ADD("mem.remap.remaps", 1);
-  AFT_TRACE(name(), "remap",
+  AFT_TRACE(kName, "remap",
             {{"logical", logical},
              {"retired", phys},
              {"spare", spare},

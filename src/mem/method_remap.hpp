@@ -23,7 +23,10 @@ class EccRemapAccess final : public IMemoryAccessMethod {
   explicit EccRemapAccess(hw::MemoryChip& chip, double spare_fraction = 0.125,
                           std::size_t words_per_scrub_step = 64);
 
-  [[nodiscard]] std::string_view name() const noexcept override { return "M2-ecc-remap"; }
+  /// The component name of this method's trace records.
+  static constexpr obs::Name kName = "M2-ecc-remap";
+
+  [[nodiscard]] std::string_view name() const noexcept override { return kName; }
   [[nodiscard]] MethodCost cost() const noexcept override {
     return MethodCost{.storage_factor = 1.125 / (1.0 - spare_fraction_),
                       .read_cost = 1.3,

@@ -23,7 +23,7 @@ void TmrEccAccess::recover_device(std::size_t victim_idx) {
   victim.power_cycle();
   ++stats_.power_cycles;
   AFT_METRIC_ADD("mem.tmr.power_cycles", 1);
-  AFT_TRACE(name(), "power-cycle", {{"victim", victim_idx}});
+  AFT_TRACE(kName, "power-cycle", {{"victim", victim_idx}});
   // Rebuild from the first healthy sibling; per-word divergence is repaired
   // lazily by subsequent voted reads and scrubbing.
   for (std::size_t i = 0; i < chips_.size(); ++i) {
@@ -36,7 +36,7 @@ void TmrEccAccess::recover_device(std::size_t victim_idx) {
     }
     ++stats_.rebuilds;
     AFT_METRIC_ADD("mem.tmr.rebuilds", 1);
-    AFT_TRACE(name(), "rebuild", {{"victim", victim_idx}, {"source", i}});
+    AFT_TRACE(kName, "rebuild", {{"victim", victim_idx}, {"source", i}});
     return;
   }
 }
@@ -86,7 +86,7 @@ ReadResult TmrEccAccess::voted_read(std::size_t addr) {
   if (!winner.has_value()) {
     ++stats_.data_losses;
     AFT_METRIC_ADD("mem.tmr.data_losses", 1);
-    AFT_TRACE(name(), "data-loss", {{"addr", addr}});
+    AFT_TRACE(kName, "data-loss", {{"addr", addr}});
     // Revive dead devices so the *next* write can be durable again.
     for (std::size_t i = 0; i < chips_.size(); ++i) {
       if (chips_[i]->state() != hw::ChipState::kOperational) recover_device(i);

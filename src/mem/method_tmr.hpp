@@ -21,7 +21,10 @@ class TmrEccAccess final : public IMemoryAccessMethod {
   TmrEccAccess(hw::MemoryChip& c0, hw::MemoryChip& c1, hw::MemoryChip& c2,
                std::size_t words_per_scrub_step = 64);
 
-  [[nodiscard]] std::string_view name() const noexcept override { return "M4-tmr-ecc"; }
+  /// The component name of this method's trace records.
+  static constexpr obs::Name kName = "M4-tmr-ecc";
+
+  [[nodiscard]] std::string_view name() const noexcept override { return kName; }
   [[nodiscard]] MethodCost cost() const noexcept override {
     return MethodCost{.storage_factor = 3.375,
                       .read_cost = 3.6,

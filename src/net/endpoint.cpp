@@ -166,8 +166,11 @@ void Endpoint::finish(std::uint64_t id, RpcStatus status,
     case RpcStatus::kExhausted: ++counters_.exhausted; break;
     case RpcStatus::kRejected: ++counters_.rejected; break;
   }
-  AFT_METRIC_ADD(status == RpcStatus::kOk ? "net.rpc.ok" : "net.rpc.failed",
-                 1);
+  if (status == RpcStatus::kOk) {
+    AFT_METRIC_ADD("net.rpc.ok", 1);
+  } else {
+    AFT_METRIC_ADD("net.rpc.failed", 1);
+  }
   AFT_TRACE("net.rpc", "done",
             {{"endpoint", name_},
              {"id", id},
@@ -187,9 +190,13 @@ void Endpoint::finish(std::uint64_t id, RpcStatus status,
     AFT_METRIC_OBSERVE("net.rpc.latency.rejected",
                        static_cast<double>(result.elapsed));
   } else {
-    AFT_METRIC_OBSERVE(status == RpcStatus::kOk ? "net.rpc.latency.ok"
-                                                : "net.rpc.latency.fail",
-                       static_cast<double>(result.elapsed));
+    if (status == RpcStatus::kOk) {
+      AFT_METRIC_OBSERVE("net.rpc.latency.ok",
+                         static_cast<double>(result.elapsed));
+    } else {
+      AFT_METRIC_OBSERVE("net.rpc.latency.fail",
+                         static_cast<double>(result.elapsed));
+    }
     AFT_METRIC_OBSERVE("net.rpc.attempts_per_call",
                        static_cast<double>(c.attempt));
   }

@@ -64,7 +64,8 @@ void Membership::verdict_changed(MemberId member, detect::FaultJudgment verdict)
   // the record itself becomes the current cause while change handlers run —
   // so an evict/raise reaction walks back through the verdict to the drop.
   const obs::CauseScope cause(
-      "net.membership", now_up ? "member-up" : "member-down",
+      "net.membership",
+      now_up ? obs::Name("member-up") : obs::Name("member-down"),
       {{"member", discriminator_.name(member)}},
       !now_up && down_evidence_ ? down_evidence_(member) : obs::kNoEvent);
   // Index loop: a change handler may subscribe further handlers

@@ -82,8 +82,8 @@ FlightRecorder* thread_default() noexcept {
 
 }  // namespace
 
-void detail::install_thread_flight(std::uint64_t t, std::string_view component,
-                                   std::string_view event, EventId span,
+void detail::install_thread_flight(std::uint64_t t, Name component,
+                                   Name event, EventId span,
                                    EventId cause) noexcept {
   t_flight = thread_default();
   if (t_flight != nullptr) t_flight->record(t, component, event, span, cause);
@@ -143,8 +143,7 @@ void flight_dump(std::string_view reason) {
 
 // Only a thread's placeholder recorder reaches this, and with the obs
 // plane compiled out no thread has one.
-void detail::install_thread_flight(std::uint64_t, std::string_view,
-                                   std::string_view, EventId,
+void detail::install_thread_flight(std::uint64_t, Name, Name, EventId,
                                    EventId) noexcept {}
 
 #endif  // AFT_OBS_DISABLED

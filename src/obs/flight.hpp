@@ -8,8 +8,8 @@
 // can be dumped, aircraft-FDR style, without having paid for full tracing.
 //
 // Records are cheap on purpose: a timestamp, two string_views (component /
-// event — instrumentation sites pass string literals or static names, so
-// storing the view is safe), and the span/cause ids active at record time.
+// event — taken as obs::Names, literals by type, so storing the view is
+// safe), and the span/cause ids active at record time.
 // No formatting happens until a dump is triggered.  Cost of an untraced
 // AFT_TRACE site: one TLS load of the thread's recorder pointer and a
 // branch, then the ring store, all inline — no out-of-line call.  The
@@ -43,14 +43,12 @@ namespace detail {
 /// Installs the calling thread's default recorder (nullptr under
 /// AFT_FLIGHT=0) as its current one, and records the note that found none
 /// installed yet into it.
-void install_thread_flight(std::uint64_t t, std::string_view component,
-                           std::string_view event, EventId span,
-                           EventId cause) noexcept;
+void install_thread_flight(std::uint64_t t, Name component, Name event,
+                           EventId span, EventId cause) noexcept;
 }  // namespace detail
 
 /// One black-box record: what happened, when, inside which span, caused by
-/// which event.  component/event must point at static-storage strings
-/// (instrumentation sites use literals / AccessMethod::name()).
+/// which event.  component/event view the Names record() was given.
 struct FlightRecord {
   std::uint64_t t = 0;
   std::string_view component;
@@ -64,8 +62,8 @@ class FlightRecorder {
   explicit FlightRecorder(std::size_t capacity = default_capacity());
 
   /// Stores one record, evicting the oldest when the ring is full.
-  void record(std::uint64_t t, std::string_view component,
-              std::string_view event, EventId span, EventId cause) noexcept {
+  void record(std::uint64_t t, Name component, Name event, EventId span,
+              EventId cause) noexcept {
     // Only the placeholder has no ring; a constructed recorder holds at
     // least one slot.
     if (ring_.empty()) [[unlikely]] {
@@ -125,7 +123,7 @@ inline constinit FlightRecorder FlightRecorder::placeholder{Placeholder{}};
 
 inline FlightRecorder* flight() noexcept { return nullptr; }  // see obs.hpp
 inline void set_flight(FlightRecorder*) noexcept {}
-inline void flight_note(std::string_view, std::string_view) noexcept {}
+inline void flight_note(Name, Name) noexcept {}
 inline void flight_dump(std::string_view) noexcept {}
 
 #else
@@ -151,8 +149,7 @@ void set_flight(FlightRecorder* recorder) noexcept;
 
 /// Records an instrumentation event into the flight recorder only — the
 /// AFT_TRACE macro's path when no TraceSink is installed.
-inline void flight_note(std::string_view component,
-                        std::string_view event) noexcept {
+inline void flight_note(Name component, Name event) noexcept {
   if (FlightRecorder* const recorder = flight(); recorder != nullptr) {
     recorder->record(obs_time(), component, event, kNoEvent, kNoEvent);
   }

@@ -19,29 +19,67 @@ std::uint64_t next_registry_uid() {
 
 MetricsRegistry::MetricsRegistry() : uid_(next_registry_uid()) {}
 
-void MetricsRegistry::add(std::string_view name, std::uint64_t delta) {
-  const auto it = counters_.find(name);
-  Counter& c = it != counters_.end()
-                   ? it->second
-                   : counters_.emplace(std::string(name), Counter{})
-                         .first->second;
+namespace {
+
+void bump(MetricsRegistry::Counter& c, std::uint64_t delta) {
   c.value += delta;
   if (c.timeline != nullptr) c.timeline->observe(obs_time(), delta);
 }
 
-void MetricsRegistry::set_gauge(std::string_view name, double value) {
-  const auto it = gauges_.find(name);
-  Gauge& g = it != gauges_.end()
-                 ? it->second
-                 : gauges_.emplace(std::string(name), Gauge{}).first->second;
+void assign(MetricsRegistry::Gauge& g, double value) {
   g.value = value;
   if (g.timeline != nullptr) {
     g.timeline->observe(obs_time(), util::LogHistogram::clamp(value));
   }
 }
 
+}  // namespace
+
+MetricsRegistry::Counter& MetricsRegistry::counter_cell(std::string_view name) {
+  const auto it = counters_.find(name);
+  return it != counters_.end()
+             ? it->second
+             : counters_.emplace(std::string(name), Counter{}).first->second;
+}
+
+MetricsRegistry::Gauge& MetricsRegistry::gauge_cell(std::string_view name) {
+  const auto it = gauges_.find(name);
+  return it != gauges_.end()
+             ? it->second
+             : gauges_.emplace(std::string(name), Gauge{}).first->second;
+}
+
+void MetricsRegistry::add(std::string_view name, std::uint64_t delta) {
+  bump(counter_cell(name), delta);
+}
+
+void MetricsRegistry::add(CounterSite& site, Name name, std::uint64_t delta) {
+  if (site.uid != uid_ || site.name != name.data()) {
+    site = {uid_, name.data(), &counter_cell(name)};
+  }
+  bump(*site.cell, delta);
+}
+
+void MetricsRegistry::set_gauge(std::string_view name, double value) {
+  assign(gauge_cell(name), value);
+}
+
+void MetricsRegistry::set_gauge(GaugeSite& site, Name name, double value) {
+  if (site.uid != uid_ || site.name != name.data()) {
+    site = {uid_, name.data(), &gauge_cell(name)};
+  }
+  assign(*site.cell, value);
+}
+
 void MetricsRegistry::observe(std::string_view name, double value) {
   stat(name).add(value);
+}
+
+void MetricsRegistry::observe(StatSite& site, Name name, double value) {
+  if (site.uid != uid_ || site.name != name.data()) {
+    site = {uid_, name.data(), &stat(name)};
+  }
+  site.cell->add(value);
 }
 
 Stat& MetricsRegistry::stat(std::string_view name) {
@@ -74,11 +112,7 @@ Timeline& MetricsRegistry::timeline_counter(std::string_view name,
                       Timeline(window_ticks, TimelineKind::kCounter))
              .first;
   }
-  auto cell = counters_.find(name);
-  if (cell == counters_.end()) {
-    cell = counters_.emplace(std::string(name), Counter{}).first;
-  }
-  cell->second.timeline = &it->second;
+  counter_cell(name).timeline = &it->second;
   return it->second;
 }
 
@@ -91,11 +125,7 @@ Timeline& MetricsRegistry::timeline_gauge(std::string_view name,
                       Timeline(window_ticks, TimelineKind::kGauge))
              .first;
   }
-  auto cell = gauges_.find(name);
-  if (cell == gauges_.end()) {
-    cell = gauges_.emplace(std::string(name), Gauge{}).first;
-  }
-  cell->second.timeline = &it->second;
+  gauge_cell(name).timeline = &it->second;
   return it->second;
 }
 
@@ -125,22 +155,12 @@ void MetricsRegistry::relink_timelines() {
       case TimelineKind::kStat:
         stat(name).timeline_ = &t;
         break;
-      case TimelineKind::kCounter: {
-        auto it = counters_.find(name);
-        if (it == counters_.end()) {
-          it = counters_.emplace(name, Counter{}).first;
-        }
-        it->second.timeline = &t;
+      case TimelineKind::kCounter:
+        counter_cell(name).timeline = &t;
         break;
-      }
-      case TimelineKind::kGauge: {
-        auto it = gauges_.find(name);
-        if (it == gauges_.end()) {
-          it = gauges_.emplace(name, Gauge{}).first;
-        }
-        it->second.timeline = &t;
+      case TimelineKind::kGauge:
+        gauge_cell(name).timeline = &t;
         break;
-      }
     }
   }
 }

@@ -12,6 +12,17 @@
 // counts are integers, and merge() is associative over campaign jobs
 // applied in job-index order, so the exported JSON — quantiles and
 // timelines included — is bit-identical for any AFT_THREADS value.
+//
+// Cost model.  The by-name calls (add, set_gauge, observe, stat) descend a
+// std::map<std::string> and compare bytes at each level: fine for cold
+// callers, too much for a site that fires per message.  Instrumentation
+// sites go through the AFT_METRIC_* macros (obs.hpp) instead, each of which
+// holds a MetricSite: the uid of the registry it last resolved in, the
+// name it resolved and the map node it found.  A hit is a uid and a name
+// address compare and the update; a miss (a different registry, or a site
+// whose name changed) resolves by name once and re-caches.  The
+// node pointers stay valid because a registry never erases a cell and
+// cannot be copied or moved.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +32,7 @@
 #include <string_view>
 
 #include "obs/clock.hpp"
+#include "obs/name.hpp"
 #include "obs/timeline.hpp"
 #include "util/log_histogram.hpp"
 #include "util/stats.hpp"
@@ -60,25 +72,55 @@ class Stat {
   Timeline* timeline_ = nullptr;
 };
 
+/// One metric site's cached resolution (see the cost model above): `cell`
+/// is the node of the metric named at `name` in the registry with `uid`.
+/// Uids start at 1, so a default site misses on first use.  Sites hold one
+/// per thread, as a constinit thread_local (the AFT_METRIC_* macros).
+template <typename Cell>
+struct MetricSite {
+  std::uint64_t uid = 0;
+  const char* name = nullptr;
+  Cell* cell = nullptr;
+};
+
 class MetricsRegistry {
  public:
+  struct Counter {
+    std::uint64_t value = 0;
+    Timeline* timeline = nullptr;
+  };
+  struct Gauge {
+    double value = 0.0;
+    Timeline* timeline = nullptr;
+  };
+  using CounterSite = MetricSite<Counter>;
+  using GaugeSite = MetricSite<Gauge>;
+  using StatSite = MetricSite<Stat>;
+
   MetricsRegistry();
+  // Sites cache node pointers under the uid: a copy would share the uid
+  // with its source, and a move would take the source's nodes with it.
+  MetricsRegistry(const MetricsRegistry&) = delete;
+  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Increments counter `name` by `delta` (creating it at 0 on first use).
   void add(std::string_view name, std::uint64_t delta = 1);
+  /// The same through a site's cache.
+  void add(CounterSite& site, Name name, std::uint64_t delta);
 
   /// Last-writer-wins scalar (e.g. a configuration knob or final level).
   void set_gauge(std::string_view name, double value);
+  void set_gauge(GaugeSite& site, Name name, double value);
 
   /// Feeds one sample into histogram `name`.
   void observe(std::string_view name, double value);
+  void observe(StatSite& site, Name name, double value);
 
   /// Stable handle to a stat, for hoisting the name lookup out of hot loops.
   [[nodiscard]] Stat& stat(std::string_view name);
 
-  /// Process-unique id, so callers caching a Stat* handle can tell a fresh
-  /// registry constructed at a recycled address from the one they hoisted
-  /// the handle out of (sim::Simulator does this for its dispatch-lag stat).
+  /// Process-unique id: what a MetricSite checks, so a fresh registry
+  /// constructed at a recycled address never hits a stale site.
   [[nodiscard]] std::uint64_t uid() const noexcept { return uid_; }
 
   /// Registers sim-time-windowed tracking for stat `name` (per-window
@@ -111,14 +153,8 @@ class MetricsRegistry {
   [[nodiscard]] std::string json() const;
 
  private:
-  struct Counter {
-    std::uint64_t value = 0;
-    Timeline* timeline = nullptr;
-  };
-  struct Gauge {
-    double value = 0.0;
-    Timeline* timeline = nullptr;
-  };
+  Counter& counter_cell(std::string_view name);
+  Gauge& gauge_cell(std::string_view name);
 
   /// Re-points every stat/counter/gauge timeline link into our own
   /// timelines_ map (after merge copies new timelines in).

@@ -1,16 +1,23 @@
 // Instrumentation access point: a per-thread current TraceSink,
 // MetricsRegistry, and FlightRecorder, installed by benches (obs::ObsCli) or
 // per campaign job (util::parallel_for_index), plus the AFT_TRACE /
-// AFT_METRIC_ADD / AFT_SPAN macros the subsystems call.
+// AFT_METRIC_* / AFT_SPAN macros the subsystems call.
+//
+// Every name a site passes — component, event, field key, metric name — is
+// an obs::Name (name.hpp): a literal, checked by the compiler.
 //
 // Cost when no sink is installed: one thread-local load and a predictable
 // branch per site, plus, for AFT_TRACE, a second TLS load and branch and a
 // ~40-byte ring store into the always-on flight recorder (flight.hpp), all
 // inline.  Every record is stamped with the one obs clock (clock.hpp),
-// which the sim kernel stores once per dispatched event.  Cost when
-// compiled out (-DAFT_OBS=OFF, which defines AFT_OBS_DISABLED): zero — the macros expand to (void)0 and the
-// accessors collapse to an inline nullptr, so every instrumentation site
-// folds away.
+// which the sim kernel stores once per dispatched event.  With a sink
+// installed, AFT_TRACE interns each Name with one trusted pointer probe
+// (trace.hpp); with a registry installed, an AFT_METRIC_* site makes one
+// out-of-line call that checks its thread's MetricSite and updates the
+// cached map node (metrics.hpp).  Cost when compiled out (-DAFT_OBS=OFF,
+// which defines AFT_OBS_DISABLED): zero — the macros expand to (void)0 and
+// the accessors collapse to an inline nullptr, so every instrumentation
+// site folds away.
 //
 // Threading model: the pointers are thread_local and never shared; each
 // campaign worker installs its own per-job sink, and util::parallel_for_index
@@ -101,10 +108,9 @@ class ScopedObs {
 /// Instantiate via AFT_SPAN.
 class SpanGuard {
  public:
-  SpanGuard(const char* component, const char* name) noexcept
-      : sink_(trace()) {
+  SpanGuard(Name component, std::string_view name) noexcept
+      : sink_(trace()), component_(component) {
     if (sink_ == nullptr) return;
-    component_ = component;
     prev_span_ = sink_->span();
     const EventId id = sink_->emit(component, "span-begin", {{"name", name}});
     if (id != kNoEvent) sink_->set_span(id);
@@ -119,7 +125,7 @@ class SpanGuard {
 
  private:
   TraceSink* sink_;
-  const char* component_ = nullptr;
+  Name component_;
   EventId prev_span_ = kNoEvent;
 };
 
@@ -134,9 +140,8 @@ class CauseScope {
   /// cause.  A non-kNoEvent `emitted_under` is the cause stamped on the
   /// record itself (evidence joined from elsewhere); the ambient cause is
   /// what the scope restores.  A record dropped by the sink cap installs
-  /// nothing.  `component`/`event` must be static strings: the flight
-  /// recorder keeps the views.
-  CauseScope(std::string_view component, std::string_view event,
+  /// nothing.
+  CauseScope(Name component, Name event,
              std::initializer_list<Field> fields = {},
              EventId emitted_under = kNoEvent)
       : sink_(trace()) {
@@ -184,6 +189,7 @@ class CauseScope {
 #define AFT_TRACE(component, event, ...) static_cast<void>(0)
 #define AFT_METRIC_ADD(name, delta) static_cast<void>(0)
 #define AFT_METRIC_OBSERVE(name, value) static_cast<void>(0)
+#define AFT_METRIC_GAUGE(name, value) static_cast<void>(0)
 #define AFT_OBS_SET_TIME(t) static_cast<void>(0)
 #define AFT_SPAN(component, name) static_cast<void>(0)
 
@@ -197,19 +203,31 @@ class CauseScope {
       ::aft::obs::flight_note((component), (event));                       \
   } while (0)
 
-#define AFT_METRIC_ADD(name, delta)                                      \
-  do {                                                                   \
-    if (::aft::obs::MetricsRegistry* aft_obs_reg_ = ::aft::obs::metrics()) \
-      aft_obs_reg_->add((name), (delta));                                \
+// Each metric macro expansion is one site with its own per-thread
+// MetricSite (metrics.hpp).  A site that picked between names would stay
+// correct but re-resolve whenever its name changed, so such a choice is
+// one macro call per name.
+#define AFT_OBS_METRIC_SITE(Site, call, name, value)                         \
+  do {                                                                       \
+    if (::aft::obs::MetricsRegistry* aft_obs_reg_ = ::aft::obs::metrics()) { \
+      static constinit thread_local ::aft::obs::MetricsRegistry::Site        \
+          aft_obs_site_{};                                                   \
+      aft_obs_reg_->call(aft_obs_site_, (name), (value));                    \
+    }                                                                        \
   } while (0)
 
+/// Adds `delta` to counter `name`.
+#define AFT_METRIC_ADD(name, delta) \
+  AFT_OBS_METRIC_SITE(CounterSite, add, name, delta)
+
 /// Feeds one sample into histogram `name` (p50/p99/p999 in the "quantiles"
-/// JSON export).  Genuinely hot sites should hoist a Stat& handle instead.
-#define AFT_METRIC_OBSERVE(name, value)                                  \
-  do {                                                                   \
-    if (::aft::obs::MetricsRegistry* aft_obs_reg_ = ::aft::obs::metrics()) \
-      aft_obs_reg_->observe((name), (value));                            \
-  } while (0)
+/// JSON export).
+#define AFT_METRIC_OBSERVE(name, value) \
+  AFT_OBS_METRIC_SITE(StatSite, observe, name, value)
+
+/// Sets gauge `name` (last writer wins).
+#define AFT_METRIC_GAUGE(name, value) \
+  AFT_OBS_METRIC_SITE(GaugeSite, set_gauge, name, value)
 
 #define AFT_OBS_SET_TIME(t) ::aft::obs::set_obs_time(t)
 

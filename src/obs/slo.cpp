@@ -102,7 +102,7 @@ void SloTracker::publish(std::uint64_t burn_permille, std::uint64_t over,
   // (the slow RPC completion this record() call sits inside), and becomes
   // the cause of whatever the publisher triggers — so a switchboard raise
   // walks back through the breach to the slow wire.
-  const CauseScope cause("obs.slo", breach ? "breach" : "recover",
+  const CauseScope cause("obs.slo", breach ? Name("breach") : Name("recover"),
                          {{"slo", name_},
                           {"window", window_index_},
                           {"burn_permille", burn_permille},

@@ -113,7 +113,7 @@ std::uint8_t* TraceSink::put_time(std::uint8_t* w, std::uint64_t t) {
 
 // The record body (layout in obs/aftb.hpp).  Strings are interned in the
 // order they are written, which fixes the order of the string table.
-EventId TraceSink::emit(std::string_view component, std::string_view event,
+EventId TraceSink::emit(Name component, Name event,
                         std::initializer_list<Field> fields) {
   if (count_ >= max_events_) {
     ++dropped_;
@@ -132,11 +132,11 @@ EventId TraceSink::emit(std::string_view component, std::string_view event,
                                    (has_cause ? aftb::kHasCause : 0));
   if (has_span) w = aftb::put_varint(w, id - span_);
   if (has_cause) w = aftb::put_varint(w, id - cause_);
-  w = aftb::put_varint(w, strings_.intern(component));
-  w = aftb::put_varint(w, strings_.intern(event));
+  w = aftb::put_varint(w, strings_.intern_static(component));
+  w = aftb::put_varint(w, strings_.intern_static(event));
   w = aftb::put_varint(w, fields.size());
   for (const Field& f : fields) {
-    const StrId key = strings_.intern(f.key());
+    const StrId key = strings_.intern_static(f.key());
     const std::uint64_t bits =
         f.kind() == Field::Kind::kStr ? strings_.intern(f.str()) : f.bits();
     w = aftb::put_field(w, {key, f.kind(), bits});

@@ -41,6 +41,11 @@
 // Hot-path cost model: instrumentation sites go through the AFT_TRACE macro
 // (obs.hpp), which is a thread-local load + branch when no sink is installed
 // and compiles to nothing when AFT_OBS_DISABLED is defined (CMake -DAFT_OBS=OFF).
+// With a sink installed, a record's component, event and field keys are
+// obs::Names (obs/name.hpp): literals by type, so each interns with one
+// pointer-keyed cache probe whose hit is trusted without a byte compare.
+// String field values may be any string; they intern through the validated
+// path, which confirms a cache hit byte by byte.
 #pragma once
 
 #include <bit>
@@ -54,6 +59,7 @@
 
 #include "obs/aftb.hpp"
 #include "obs/clock.hpp"
+#include "obs/name.hpp"
 #include "util/interner.hpp"
 
 namespace aft::obs {
@@ -67,32 +73,30 @@ inline constexpr EventId kNoEvent = ~EventId{0};
 
 /// One key/value pair of a trace event.  Values are copied/interned at
 /// emit() time, so string views only need to outlive the emit call.  Keys
-/// are literals: their length is taken where the Field is built, where the
-/// compiler folds it.
+/// are Names: literals, whose length the compiler folds where the Field is
+/// built.
 class Field {
  public:
   using Kind = aftb::Kind;
 
-  constexpr Field(const char* key, std::uint64_t v) noexcept
+  constexpr Field(Name key, std::uint64_t v) noexcept
       : Field(key, Kind::kU64, v) {}
-  constexpr Field(const char* key, std::int64_t v) noexcept
+  constexpr Field(Name key, std::int64_t v) noexcept
       : Field(key, Kind::kI64, std::bit_cast<std::uint64_t>(v)) {}
-  constexpr Field(const char* key, unsigned v) noexcept
+  constexpr Field(Name key, unsigned v) noexcept
       : Field(key, static_cast<std::uint64_t>(v)) {}
-  constexpr Field(const char* key, int v) noexcept
+  constexpr Field(Name key, int v) noexcept
       : Field(key, static_cast<std::int64_t>(v)) {}
-  constexpr Field(const char* key, double v) noexcept
+  constexpr Field(Name key, double v) noexcept
       : Field(key, Kind::kF64, std::bit_cast<std::uint64_t>(v)) {}
-  constexpr Field(const char* key, bool v) noexcept
+  constexpr Field(Name key, bool v) noexcept
       : Field(key, Kind::kBool, v ? 1u : 0u) {}
-  constexpr Field(const char* key, std::string_view v) noexcept
+  constexpr Field(Name key, std::string_view v) noexcept
       : Field(key, Kind::kStr, 0) { str_ = v; }
-  constexpr Field(const char* key, const char* v) noexcept
+  constexpr Field(Name key, const char* v) noexcept
       : Field(key, std::string_view(v)) {}
 
-  [[nodiscard]] constexpr std::string_view key() const noexcept {
-    return {key_, key_size_};
-  }
+  [[nodiscard]] constexpr Name key() const noexcept { return key_; }
   [[nodiscard]] constexpr Kind kind() const noexcept { return kind_; }
   /// The value as AFTB's raw 64 bits (aftb::FieldBits); 0 for a string.
   [[nodiscard]] constexpr std::uint64_t bits() const noexcept { return bits_; }
@@ -101,15 +105,10 @@ class Field {
   }
 
  private:
-  constexpr Field(const char* key, Kind kind, std::uint64_t bits) noexcept
-      : key_(key),
-        key_size_(static_cast<std::uint32_t>(
-            std::char_traits<char>::length(key))),
-        kind_(kind),
-        bits_(bits) {}
+  constexpr Field(Name key, Kind kind, std::uint64_t bits) noexcept
+      : key_(key), kind_(kind), bits_(bits) {}
 
-  const char* key_;
-  std::uint32_t key_size_;
+  Name key_;
   Kind kind_;
   std::uint64_t bits_;
   std::string_view str_{};  // only meaningful for Kind::kStr
@@ -154,7 +153,7 @@ class TraceSink {
   /// Records one event at the obs clock's time (obs/clock.hpp), stamped
   /// with the current span and cause.  Returns the event's id — its final `seq` in
   /// the written file — or kNoEvent when the cap dropped it.
-  EventId emit(std::string_view component, std::string_view event,
+  EventId emit(Name component, Name event,
                std::initializer_list<Field> fields = {});
 
   [[nodiscard]] std::size_t size() const noexcept { return count_; }

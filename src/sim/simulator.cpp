@@ -13,16 +13,8 @@ void Simulator::throw_past() {
 
 Simulator::Handle Simulator::enqueue(Slot slot, SimTime when) {
   // Dispatch lag: entries fire exactly at `when`, so the schedule-to-
-  // dispatch latency is known here.  Recorded through a cached Stat handle
-  // so the steady-state cost is one add, not a map lookup.
-  if (obs::MetricsRegistry* reg = obs::metrics(); reg != nullptr) {
-    if (reg != lag_registry_ || reg->uid() != lag_registry_uid_) {
-      lag_registry_ = reg;
-      lag_registry_uid_ = reg->uid();
-      lag_stat_ = &reg->stat("sim.dispatch_lag");
-    }
-    lag_stat_->add(static_cast<double>(when - now_));
-  }
+  // dispatch latency is known here.
+  AFT_METRIC_OBSERVE("sim.dispatch_lag", static_cast<double>(when - now_));
   Entry& entry = at(slot);
   entry.when = when;
   entry.seq = next_seq_++;

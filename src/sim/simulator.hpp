@@ -56,8 +56,6 @@
 
 namespace aft::obs {
 class TraceSink;
-class MetricsRegistry;
-class Stat;
 }  // namespace aft::obs
 
 namespace aft::sim {
@@ -260,14 +258,6 @@ class Simulator {
   SimTime near_min_ = kNever;  ///< earliest near tick; kNever when empty
 
   std::vector<FarNode> far_;  ///< 4-ary min-heap; its top is never a tombstone
-
-  // Cached handle for the "sim.dispatch_lag" stat (schedule_at is the
-  // hottest instrumentation site in the tree; a map lookup per schedule
-  // would be measurable).  The (registry, uid) pair detects both a swapped
-  // registry and a fresh registry constructed at a recycled address.
-  obs::Stat* lag_stat_ = nullptr;
-  const obs::MetricsRegistry* lag_registry_ = nullptr;
-  std::uint64_t lag_registry_uid_ = 0;
 };
 
 }  // namespace aft::sim

@@ -3,6 +3,11 @@
 // component/event/key/value table.  Ids are assigned in first-intern order
 // and never recycled; name() pointers stay stable because they target the
 // index map's node-based key storage.
+//
+// Two lookups share one pointer-keyed cache: intern() for any string,
+// which confirms a cache hit byte by byte, and intern_static() for names in
+// immutable static storage (obs::Name), whose hit is one pointer and length
+// compare.
 #pragma once
 
 #include <array>
@@ -10,6 +15,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace aft::util {
@@ -25,8 +31,21 @@ class StringInterner {
   // source's.  A move carries the nodes along, so moves stay.
   StringInterner(const StringInterner&) = delete;
   StringInterner& operator=(const StringInterner&) = delete;
-  StringInterner(StringInterner&&) = default;
-  StringInterner& operator=(StringInterner&&) = default;
+  // A move leaves the source empty, its cache included: a cached id must
+  // never outlive the table it indexes.
+  StringInterner(StringInterner&& other) noexcept
+      : names_(std::move(other.names_)),
+        index_(std::move(other.index_)),
+        cache_(other.cache_) {
+    other.clear();
+  }
+  StringInterner& operator=(StringInterner&& other) noexcept {
+    names_ = std::move(other.names_);
+    index_ = std::move(other.index_);
+    cache_ = other.cache_;
+    other.clear();
+    return *this;
+  }
 
   /// Id of `s`, interning it on first sight (idempotent).
   ///
@@ -44,6 +63,18 @@ class StringInterner {
         cached.id < names_.size() && *names_[cached.id] == s) {
       return cached.id;
     }
+    return intern_missed(s, cached);
+  }
+
+  /// intern() for a string in static storage that is never written — a
+  /// literal, which obs::Name guarantees by type.  Its bytes at a given
+  /// address can never change, and a cache entry is only ever written with
+  /// the id of the bytes at its address, so a pointer and length hit is
+  /// the answer and no byte is compared.
+  Id intern_static(std::string_view s) {
+    CacheEntry& cached =
+        cache_[cache_slot(reinterpret_cast<std::uintptr_t>(s.data()))];
+    if (cached.data == s.data() && cached.len == s.size()) return cached.id;
     return intern_missed(s, cached);
   }
 

@@ -25,8 +25,8 @@ inline RoundReport VotingFarm::close_round() {
   if (obs::MetricsRegistry* reg = obs::metrics(); reg != nullptr) {
     const std::uint64_t t = obs::obs_time();
     if (round_t_valid_ && t >= last_round_t_) {
-      reg->observe("vote.farm.round_gap",
-                   static_cast<double>(t - last_round_t_));
+      AFT_METRIC_OBSERVE("vote.farm.round_gap",
+                         static_cast<double>(t - last_round_t_));
     }
     last_round_t_ = t;
     round_t_valid_ = true;

@@ -144,6 +144,30 @@ TEST(CampaignTest, TraceAndMetricsBitIdenticalAcrossThreadCounts) {
   EXPECT_NE(serial.second.find(R"("jobs.last_index":15)"), std::string::npos);
 }
 
+/// obs_job's metrics through per-site handles (the AFT_METRIC_* macros):
+/// each worker thread keeps one site per macro, and every job brings a
+/// fresh registry, so a site re-resolves at each job's first update.
+void site_job(std::size_t i) {
+  AFT_METRIC_ADD("jobs.completed", 1);
+  AFT_METRIC_OBSERVE("jobs.result", static_cast<double>(i * i));
+  AFT_METRIC_GAUGE("jobs.last_index", static_cast<double>(i));
+}
+
+std::string run_site_campaign(unsigned threads) {
+  aft::obs::TraceSink sink;
+  aft::obs::MetricsRegistry registry;
+  const aft::obs::ScopedObs scope(&sink, &registry);
+  parallel_for_index(16, threads, site_job);
+  return registry.json();
+}
+
+TEST(CampaignTest, SiteHandleMetricsBitIdenticalAcrossThreadCounts) {
+  const std::string serial = run_site_campaign(1);
+  EXPECT_EQ(run_site_campaign(4), serial);
+  // The same bytes the by-name calls produce.
+  EXPECT_EQ(serial, run_obs_campaign(1).second);
+}
+
 /// Campaign job that exercises the PR-8 surfaces: per-job timeline
 /// registration, clock-driven windowing, and histogram-backed stats —
 /// everything the "quantiles" and "timelines" JSON sections export.

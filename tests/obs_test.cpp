@@ -4,11 +4,14 @@
 // instrumentation macros rely on.
 #include <charconv>
 #include <cmath>
+#include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -50,6 +53,21 @@ TEST(TraceSinkTest, EmitsJsonlKeyedByTimeAndSeq) {
             R"({"t":7,"seq":0,"component":"mem.ecc","event":"corrected","addr":42,"origin":"read"})");
   EXPECT_EQ(lines[1],
             R"({"t":9,"seq":1,"component":"detect","event":"latch","score":3.5,"latched":true})");
+}
+
+TEST(TraceSinkTest, StringValueRewrittenInPlaceKeepsItsNewContent) {
+  // Names (component, event, key) intern by address alone; values do not:
+  // a buffer reused at the same address with new bytes is a new string.
+  TraceSink sink;
+  char buf[8] = "alpha";
+  const std::string_view value(buf, 5);
+  sink.emit("c", "e", {{"v", value}});
+  std::memcpy(buf, "omega", 5);
+  sink.emit("c", "e", {{"v", value}});
+  const auto lines = lines_of(sink.jsonl());
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[0].find(R"("v":"alpha")"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[1].find(R"("v":"omega")"), std::string::npos) << lines[1];
 }
 
 TEST(TraceSinkTest, EscapesJsonStrings) {
@@ -416,6 +434,62 @@ TEST(MetricsRegistryTest, MergeSumsCountersAndFoldsStats) {
   EXPECT_DOUBLE_EQ(a.find_stat("s")->mean(), 2.0);
 }
 
+TEST(MetricsRegistryTest, CopiesAreDeleted) {
+  // Metric sites cache node pointers under the registry's uid; a copy would
+  // carry its source's uid and receive the source's updates.
+  static_assert(!std::is_copy_constructible_v<MetricsRegistry>);
+  static_assert(!std::is_copy_assignable_v<MetricsRegistry>);
+  static_assert(!std::is_move_constructible_v<MetricsRegistry>);
+  static_assert(!std::is_move_assignable_v<MetricsRegistry>);
+  const MetricsRegistry a;
+  const MetricsRegistry b;
+  EXPECT_NE(a.uid(), b.uid());
+  EXPECT_NE(a.uid(), 0u);  // 0 is a site that never resolved
+}
+
+TEST(MetricsRegistryTest, SiteCallsMatchByNameCalls) {
+  MetricsRegistry by_name;
+  by_name.add("n", 2);
+  by_name.add("n", 3);
+  by_name.observe("lat", 7.0);
+  by_name.set_gauge("g", 1.5);
+  MetricsRegistry by_site;
+  MetricsRegistry::CounterSite n;
+  MetricsRegistry::StatSite lat;
+  MetricsRegistry::GaugeSite g;
+  by_site.add(n, "n", 2);
+  by_site.add(n, "n", 3);
+  by_site.observe(lat, "lat", 7.0);
+  by_site.set_gauge(g, "g", 1.5);
+  EXPECT_EQ(by_site.json(), by_name.json());
+  EXPECT_EQ(n.uid, by_site.uid());
+  EXPECT_EQ(lat.cell, by_site.find_stat("lat"));
+}
+
+TEST(MetricsRegistryTest, ASiteWhoseNameChangesResolvesAgain) {
+  MetricsRegistry reg;
+  MetricsRegistry::CounterSite site;
+  for (int i = 0; i < 3; ++i) {
+    reg.add(site, "a", 1);
+    reg.add(site, "b", 10);
+  }
+  EXPECT_EQ(reg.counter("a"), 3u);
+  EXPECT_EQ(reg.counter("b"), 30u);
+}
+
+TEST(MetricsRegistryTest, SiteFeedsTheTimelineOfItsCell) {
+  MetricsRegistry reg;
+  reg.timeline_counter("calls", 10);
+  MetricsRegistry::CounterSite site;
+  aft::obs::set_obs_time(25);
+  reg.add(site, "calls", 4);
+  aft::obs::set_obs_time(0);
+  ASSERT_NE(reg.find_timeline("calls"), nullptr);
+  EXPECT_NE(reg.json().find(R"("calls":{"kind":"counter","window":10,"windows":[{"w":2,"delta":4}]})"),
+            std::string::npos)
+      << reg.json();
+}
+
 TEST(ScopedObsTest, MacrosAreNoOpsWithoutInstalledSinks) {
   // Must not crash or allocate a sink implicitly — and under -DAFT_OBS=OFF
   // this is the only behaviour the macros have at all.
@@ -464,6 +538,72 @@ TEST(ScopedObsTest, MacrosRouteToInstalledSinks) {
   EXPECT_EQ(reg.find_stat("lat")->quantile(0.5), 7u);
   // The one obs clock drives the registry too (timeline windowing).
   EXPECT_EQ(aft::obs::obs_time(), 3u);
+}
+
+/// One metric site of each kind, shared by the tests below: a static
+/// thread_local site per macro expansion, as at every instrumentation site.
+void metric_sites(std::uint64_t n) {
+  AFT_METRIC_ADD("site.count", n);
+  AFT_METRIC_OBSERVE("site.value", static_cast<double>(n));
+  AFT_METRIC_GAUGE("site.level", static_cast<double>(n));
+}
+
+TEST(MetricSiteTest, RegistriesSwappedOnOneThreadEachGetOnlyTheirOwn) {
+  MetricsRegistry a;
+  MetricsRegistry b;
+  for (std::uint64_t i = 1; i <= 6; ++i) {
+    const ScopedObs scope(nullptr, i % 2 == 1 ? &a : &b);
+    metric_sites(i);
+  }
+  EXPECT_EQ(a.counter("site.count"), 1u + 3u + 5u);
+  EXPECT_EQ(b.counter("site.count"), 2u + 4u + 6u);
+  EXPECT_EQ(a.find_stat("site.value")->count(), 3u);
+  EXPECT_EQ(b.find_stat("site.value")->max(), 6.0);
+  EXPECT_EQ(a.gauge("site.level"), 5.0);
+  EXPECT_EQ(b.gauge("site.level"), 6.0);
+}
+
+TEST(MetricSiteTest, AFreshRegistryAtARecycledAddressResolvesAgain) {
+  // Same storage, new registry: only the uid tells the two apart.  A site
+  // that trusted the address would write into the destroyed registry's
+  // freed nodes (the sanitizer leg would see it) and the new one would
+  // read 0.
+  std::optional<MetricsRegistry> slot;
+  slot.emplace();
+  const MetricsRegistry* const first = &*slot;
+  const std::uint64_t first_uid = slot->uid();
+  {
+    const ScopedObs scope(nullptr, &*slot);
+    metric_sites(3);
+  }
+  EXPECT_EQ(slot->counter("site.count"), 3u);
+  slot.reset();
+  slot.emplace();
+  ASSERT_EQ(&*slot, first);
+  EXPECT_NE(slot->uid(), first_uid);
+  {
+    const ScopedObs scope(nullptr, &*slot);
+    metric_sites(4);
+    metric_sites(5);
+  }
+  EXPECT_EQ(slot->counter("site.count"), 9u);
+  EXPECT_EQ(slot->find_stat("site.value")->count(), 2u);
+  EXPECT_EQ(slot->gauge("site.level"), 5.0);
+}
+
+TEST(MetricSiteTest, EachThreadKeepsItsOwnSite) {
+  MetricsRegistry main_reg;
+  MetricsRegistry worker_reg;
+  const ScopedObs scope(nullptr, &main_reg);
+  metric_sites(1);
+  std::thread worker([&worker_reg] {
+    const ScopedObs inner(nullptr, &worker_reg);
+    metric_sites(10);
+  });
+  worker.join();
+  metric_sites(2);
+  EXPECT_EQ(main_reg.counter("site.count"), 3u);
+  EXPECT_EQ(worker_reg.counter("site.count"), 10u);
 }
 
 TEST(ScopedObsTest, EachScopeStartsTheClockAtZeroAndRestoresItOnExit) {

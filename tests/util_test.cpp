@@ -588,6 +588,35 @@ TEST(StringInternerTest, ReusedBufferWithNewContentGetsItsOwnId) {
   EXPECT_EQ(in.intern(view), 0u);
 }
 
+TEST(StringInternerTest, StaticHitNeverComparesBytes) {
+  // intern_static() is for bytes that never change (obs::Name literals), so
+  // its cache hit is the address and length alone.  A buffer rewritten in
+  // place shows it: the static path keeps handing back the first id, which
+  // it could not if it compared bytes, while intern() on the same address
+  // sees the new content and gives it its own id.
+  static char buf[8] = "alpha";
+  const std::string_view view(buf, 5);
+  StringInterner in;
+  const StringInterner::Id alpha = in.intern_static(view);
+  EXPECT_EQ(alpha, 0u);
+  std::memcpy(buf, "omega", 5);
+  EXPECT_EQ(in.intern_static(view), alpha);
+  EXPECT_EQ(in.intern(view), 1u);
+  EXPECT_EQ(in.name(1), "omega");
+  std::memcpy(buf, "alpha", 5);
+  EXPECT_EQ(in.intern(view), alpha);
+}
+
+TEST(StringInternerTest, StaticAndValidatedPathsAgreeOnLiterals) {
+  StringInterner in;
+  const std::string_view lit = "net.link";
+  const StringInterner::Id id = in.intern_static(lit);
+  EXPECT_EQ(in.intern(lit), id);
+  EXPECT_EQ(in.intern_static(lit), id);
+  EXPECT_EQ(in.intern(std::string("net.link")), id);  // by content
+  EXPECT_EQ(in.size(), 1u);
+}
+
 TEST(StringInternerTest, PackedKeysRoundTripAndSpreadOverTheCache) {
   // Literals of one call site sit next to each other in memory.  64 keys
   // four bytes apart must not crowd into a few cache slots.
@@ -629,6 +658,11 @@ TEST(StringInternerTest, MovesKeepNamesAndCopiesAreDeleted) {
   c = std::move(b);
   EXPECT_EQ(c.name(0), "one");
   EXPECT_EQ(c.intern("three"), 2u);
+  // A moved-from interner is empty, its cache too: a static hit cannot
+  // hand back an id of the table that moved away.
+  EXPECT_EQ(b.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(b.intern_static("two"), 0u);
+  EXPECT_EQ(b.name(0), "two");
 }
 
 }  // namespace
